@@ -85,12 +85,13 @@ class LegacySampler {
     for (const auto& [id, stratum] : strata) {
       infos.push_back(sampling::SubStreamInfo{id, stratum.size(), 0.0, 1.0});
     }
-    const sampling::SizeMap sizes = policy_->allocate(sample_size, infos);
+    std::vector<std::size_t> sizes;
+    policy_->allocate(sample_size, infos, sizes);
 
+    std::size_t k = 0;
     for (auto& [id, stratum] : strata) {
       const std::uint64_t c_i = stratum.size();
-      auto size_it = sizes.find(id);
-      const std::size_t n_i = size_it == sizes.end() ? 0 : size_it->second;
+      const std::size_t n_i = sizes[k++];
 
       sampling::ReservoirSampler<Item> reservoir(n_i, rng_.split());
       rng_.jump();

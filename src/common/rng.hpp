@@ -95,8 +95,11 @@ class Rng {
   std::uint64_t next_poisson(double mean) noexcept;
 
   /// Jump function: advances the state by 2^128 steps, equivalent to
-  /// generating 2^128 outputs. Used to give parallel workers
-  /// non-overlapping sub-sequences of one logical random stream.
+  /// generating 2^128 outputs. Used to give parallel workers and
+  /// per-stratum reservoirs non-overlapping sub-sequences of one logical
+  /// random stream. Table-driven (64 lookups into a compile-time table,
+  /// see rng.cpp), so it is cheap enough for per-stratum use. Drops the
+  /// cached gaussian.
   void jump() noexcept;
 
   /// Convenience: a generator whose stream is this one jumped `n` times.

@@ -363,20 +363,18 @@ class PooledLane final : public SamplingLane {
       infos_.push_back(
           sampling::SubStreamInfo{s.id, s.len, 0.0, weights_scratch_[k]});
     }
-    const sampling::SizeMap sizes = policy_->allocate(sample_size, infos_);
+    policy_->allocate(sample_size, infos_, sizes_);
 
     // Rearm the long-lived shard group of every sub-stream present, in
     // sorted id order.
     ++calls_;
     route_groups_.assign(dir.size(), nullptr);
-    for (const Stratum& s : dir) {
-      auto size_it = sizes.find(s.id);
-      const std::size_t n_i = size_it == sizes.end() ? 0 : size_it->second;
-      GroupEntry& entry = groups_[s.id];
+    for (std::size_t k = 0; k < dir.size(); ++k) {
+      GroupEntry& entry = groups_[dir[k].id];
       entry.last_used = calls_;
-      entry.group.rearm(workers_, n_i, rng_);
+      entry.group.rearm(workers_, sizes_[k], rng_);
       rng_.jump();
-      route_groups_[&s - dir.data()] = &entry.group;
+      route_groups_[k] = &entry.group;
     }
 
     AIOT_OBS(
@@ -538,6 +536,8 @@ class PooledLane final : public SamplingLane {
   std::vector<sampling::SubStreamInfo> infos_;
   /// Per-interval W^in_i from get_for_strata()'s block merge.
   std::vector<double> weights_scratch_;
+  /// Per-interval N_i, indexed like infos_.
+  std::vector<std::size_t> sizes_;
   std::vector<ShardGroup*> route_groups_;
   LaneObs obs_;
 };

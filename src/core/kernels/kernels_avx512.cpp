@@ -54,6 +54,16 @@ inline __m512i load_keys8(const Item* p) noexcept {
   return _mm512_permutex2var_epi64(lo, idx_b, z2);
 }
 
+/// The low 32 bits of every 64-bit lane of `a` (result lanes 0..7) then
+/// `b` (lanes 8..15) — a truncating narrow in one vpermt2d. Unlike the
+/// vpmovqd + vinserti64x4 route, no intrinsic here takes an undefined
+/// pass-through operand, so -Wmaybe-uninitialized stays quiet at -O2/-O3.
+inline __m512i narrow_pair(__m512i a, __m512i b) noexcept {
+  const __m512i even = _mm512_setr_epi32(0, 2, 4, 6, 8, 10, 12, 14, 16, 18,
+                                         20, 22, 24, 26, 28, 30);
+  return _mm512_permutex2var_epi32(a, even, b);
+}
+
 }  // namespace
 
 void count_pass_avx512(const Item* data, std::size_t n, CountScratch s,
@@ -101,10 +111,7 @@ void count_pass_avx512(const Item* data, std::size_t n, CountScratch s,
         leave_narrow = true;
         break;
       }
-      const __m256i na = _mm512_cvtepi64_epi32(keys_a);
-      const __m256i nb = _mm512_cvtepi64_epi32(keys_b);
-      const __m512i k32 =
-          _mm512_inserti64x4(_mm512_castsi256_si512(na), nb, 1);
+      const __m512i k32 = narrow_pair(keys_a, keys_b);
       __m512i acc0 = _mm512_setzero_si512();
       __m512i acc1 = _mm512_setzero_si512();
       __m512i acc2 = _mm512_setzero_si512();
@@ -197,12 +204,12 @@ void count_pass_avx512(const Item* data, std::size_t n, CountScratch s,
           _mm512_cmpeq_epi64_mask(slots1, _mm512_setzero_si512());
       if (__builtin_expect(miss == 0, 1)) {
         // All eight lanes hit: narrow slot+1 to 32 bits, subtract one,
-        // and store the block's slots with a single write; counts bump
-        // from the freshly-stored (L1-resident) slot array.
-        const __m256i s32 = _mm512_cvtepi64_epi32(slots1);
-        _mm256_storeu_si256(
-            reinterpret_cast<__m256i*>(item_slots + i),
-            _mm256_sub_epi32(s32, _mm256_set1_epi32(1)));
+        // and store the block's slots with a single (low-half masked)
+        // write; counts bump from the freshly-stored (L1-resident) slot
+        // array.
+        const __m512i s32 = narrow_pair(slots1, _mm512_setzero_si512());
+        _mm512_mask_storeu_epi32(item_slots + i, 0x00FF,
+                                 _mm512_sub_epi32(s32, _mm512_set1_epi32(1)));
         for (std::size_t k = 0; k < 8; ++k) ++counts[item_slots[i + k]];
         continue;
       }

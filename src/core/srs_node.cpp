@@ -33,8 +33,8 @@ std::vector<SampledBundle> SrsNode::process_interval(
     if (bundle.items.empty()) continue;
     metrics_.items_in += bundle.items.size();
 
-    WeightMap effective = remembered_weights_;
-    effective.update_from(bundle.w_in);
+    // Fig. 3 rule, as in SamplingNode: remembering this bundle's weights
+    // first makes the memory itself the effective W^in.
     remembered_weights_.update_from(bundle.w_in);
 
     const double ht = sampler_.weight();  // 1/p
@@ -49,7 +49,7 @@ std::vector<SampledBundle> SrsNode::process_interval(
     out.sample.assign(kept_scratch_, stratify_scratch_);
     out.policy_epoch = policy_epoch_;
     for (const Stratum& s : out.sample.strata()) {
-      out.w_out.set(s.id, effective.get(s.id) * ht);
+      out.w_out.set(s.id, remembered_weights_.get(s.id) * ht);
       metrics_.items_out += s.len;
     }
     outputs.push_back(std::move(out));

@@ -8,10 +8,17 @@ namespace approxiot::core {
 
 void WeightMap::get_for_strata(const std::vector<Stratum>& dir,
                                double* out) const noexcept {
+  const std::size_t m = order_.size();
+  if (dir.size() * kPointLookupRatio < m) {
+    // A few strata against a large memory (an interior node's per-child
+    // bundle vs. every sub-stream it has seen): the merge would walk the
+    // whole index, so probe the hash table per stratum instead.
+    for (std::size_t k = 0; k < dir.size(); ++k) out[k] = get(dir[k].id);
+    return;
+  }
   // Two-pointer merge: both sequences ascend, so each sorted-index entry
   // is visited at most once across the whole directory.
   std::size_t oi = 0;
-  const std::size_t m = order_.size();
   for (std::size_t k = 0; k < dir.size(); ++k) {
     const SubStreamId id = dir[k].id;
     while (oi < m && slots_[order_[oi]].id < id) ++oi;

@@ -52,8 +52,10 @@ class WeightMap {
   /// by id (the StratifiedBatch invariant), so instead of one hash +
   /// probe per stratum this merges dir against the sorted slot index in
   /// a single linear pass — the samplers' per-interval block lookup.
-  /// Writes dir.size() weights to `out`; absent ids get 1 (same default
-  /// as get()).
+  /// When dir is much smaller than the map it probes per stratum instead,
+  /// so the cost is O(min(|dir| + size(), |dir| * probe)). Writes
+  /// dir.size() weights to `out`; absent ids get 1 (same default as
+  /// get()).
   void get_for_strata(const std::vector<Stratum>& dir,
                       double* out) const noexcept;
 
@@ -149,6 +151,9 @@ class WeightMap {
   };
 
   static constexpr std::size_t npos = static_cast<std::size_t>(-1);
+  /// get_for_strata probes per stratum once the map holds more than this
+  /// many entries per directory entry.
+  static constexpr std::size_t kPointLookupRatio = 8;
 
   /// Full-avalanche mix so clustered ids spread over the 2^k table.
   static std::uint64_t hash(SubStreamId id) noexcept {

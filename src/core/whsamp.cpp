@@ -49,25 +49,31 @@ SampledBundle WHSampler::sample_strata(const StratifiedBatch& strata,
     infos_.push_back(
         sampling::SubStreamInfo{s.id, s.len, 0.0, weights_scratch_[k]});
   }
-  const sampling::SizeMap sizes = policy_->allocate(sample_size, infos_);
+  policy_->allocate(sample_size, infos_, sizes_);
 
   // Lines 8-19: reservoir-sample each sub-stream from its arena span and
   // update its weight. Strata are visited in ascending id order — the
   // same order the legacy map iteration used, so the RNG stream each
-  // sub-stream draws from is unchanged.
+  // sub-stream draws from is unchanged: stratum k draws from J^(k+2) of
+  // the entry state (see ahead_), one jump per stratum.
+  if (!ahead_valid_) {
+    ahead_ = rng_;
+    ahead_.jump();
+    ahead_valid_ = true;
+  }
   const Item* arena = strata.items().data();
   out.sample.reserve_items(std::min(sample_size, strata.item_count()));
   const auto& dir = strata.strata();
   for (std::size_t k = 0; k < dir.size(); ++k) {
     const Stratum& s = dir[k];
     const std::uint64_t c_i = s.len;
-    auto size_it = sizes.find(s.id);
-    const std::size_t n_i = size_it == sizes.end() ? 0 : size_it->second;
+    const std::size_t n_i = sizes_[k];
 
+    rng_ = ahead_;  // J^(k+1): the state carried past stratum k
+    ahead_.jump();  // J^(k+2): stratum k's own stream
     // Rearm instead of reconstruct: same capacity/RNG/counters as a
     // fresh reservoir, but the heap buffer survives.
-    reservoir_.rearm(n_i, rng_.split());
-    rng_.jump();  // keep per-stratum streams independent
+    reservoir_.rearm(n_i, ahead_);
     reservoir_.offer_span(arena + s.offset, s.len);
 
     const double w_in_i = infos_[k].weight;

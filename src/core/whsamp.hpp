@@ -66,10 +66,19 @@ class WHSampler {
   }
   void set_rng_state(const Rng::State& state) noexcept {
     rng_.restore_state(state);
+    ahead_valid_ = false;
   }
 
  private:
+  /// Stream chain: with entry state s, stratum k (0-based, ascending id)
+  /// samples from J^(k+2)(s) and leaves rng_ at J^(k+1)(s), where J is
+  /// Rng::jump(). Stratum k's stream is thus the state rng_ carries after
+  /// stratum k+1, so one jump per stratum walks the chain: `ahead_` holds
+  /// J(rng_) between strata and between calls. Pure performance state —
+  /// not checkpointed, re-derived after set_rng_state.
   Rng rng_;
+  Rng ahead_;
+  bool ahead_valid_{false};
   WHSampConfig config_;
   std::unique_ptr<sampling::AllocationPolicy> policy_;
   /// Rearmed per stratum; its heap buffer persists across strata and
@@ -80,6 +89,8 @@ class WHSampler {
   std::vector<sampling::SubStreamInfo> infos_;
   /// Per-interval W^in_i, resolved in one get_for_strata() block pass.
   std::vector<double> weights_scratch_;
+  /// Per-interval N_i, indexed like infos_.
+  std::vector<std::size_t> sizes_;
 };
 
 /// Stratifies a flat item vector by source id (Algorithm 1 line 5) into a

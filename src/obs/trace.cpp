@@ -14,6 +14,13 @@ TrackId Tracer::register_track(const std::string& name) {
   return static_cast<TrackId>(tracks_.size() - 1);
 }
 
+const char* Tracer::intern(std::string_view name) {
+  std::lock_guard<std::mutex> lock(tracks_mutex_);
+  auto it = names_.find(name);
+  if (it == names_.end()) it = names_.emplace(name).first;
+  return it->c_str();
+}
+
 std::int64_t Tracer::now_us() const {
   return std::chrono::duration_cast<std::chrono::microseconds>(
              std::chrono::steady_clock::now() - birth_)

@@ -17,7 +17,9 @@
 //
 // Timestamps are microseconds from Tracer construction (steady clock).
 // Span names must be string literals (const char*, not copied) — identity
-// lives in the track name, so hot paths never build strings.
+// lives in the track name, so hot paths never build strings. A name built
+// at run time goes through intern() once, at setup, and the returned
+// pointer is used like a literal from then on.
 //
 // Exporters: to_chrome_json() produces {"traceEvents":[...]} loadable by
 // chrome://tracing and Perfetto (ui.perfetto.dev); to_jsonl() emits one
@@ -33,7 +35,9 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace approxiot::obs {
@@ -57,6 +61,13 @@ class Tracer {
   /// Registers a named track (a "thread" row in the viewer) and returns
   /// its id. Thread-safe; tracks are never removed.
   [[nodiscard]] TrackId register_track(const std::string& name);
+
+  /// Copies `name` into storage the tracer owns and returns a pointer
+  /// that stays valid for the tracer's lifetime, so a run-time name can
+  /// be passed to complete()/instant() and serialised after its source
+  /// string is gone. Equal names share one copy. Thread-safe; meant for
+  /// setup paths, not per-event use.
+  [[nodiscard]] const char* intern(std::string_view name);
 
   /// Microseconds since tracer construction (steady clock).
   [[nodiscard]] std::int64_t now_us() const;
@@ -89,8 +100,11 @@ class Tracer {
   [[nodiscard]] Track* track_at(TrackId id);
 
   std::chrono::steady_clock::time_point birth_;
-  mutable std::mutex tracks_mutex_;  // guards the vector, not the buffers
+  mutable std::mutex tracks_mutex_;  // guards tracks_ and names_, not the
+                                     // event buffers
   std::vector<std::unique_ptr<Track>> tracks_;
+  /// Interned span names; set nodes never move, so c_str() stays valid.
+  std::set<std::string, std::less<>> names_;
 };
 
 /// RAII span: times construction -> destruction and emits one complete

@@ -593,7 +593,7 @@ ConcurrentEdgeTree::FaultMetrics ConcurrentEdgeTree::fault_metrics() const {
 }
 
 void ConcurrentEdgeTree::absorb_dead_interval(
-    NodeRuntime& node, const std::vector<core::ItemBundle>& psi) {
+    const std::vector<core::ItemBundle>& psi) {
   // Σ over items of W^in(source) — the same Eq. 8 identity EdgeTree's
   // swallow_lost relies on: interior bundles carry a weight per stratum
   // and leaf input is raw weight-1 data, so the sum equals the original
@@ -852,7 +852,7 @@ std::optional<IntervalMessage> ConcurrentEdgeTree::execute_node_interval(
       std::lock_guard<std::mutex> lock(fault.mutex);
       fault.saved = std::move(saved);
     }
-    absorb_dead_interval(node, psi);
+    absorb_dead_interval(psi);
     if (is_root) {
       // A dead root still completes the interval (drain() must not hang)
       // — it just folds nothing into Θ.

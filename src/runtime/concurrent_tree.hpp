@@ -418,10 +418,10 @@ class ConcurrentEdgeTree {
   [[nodiscard]] NodeRuntime& node_at(std::size_t layer, std::size_t index);
   [[nodiscard]] const NodeRuntime& node_at(std::size_t layer,
                                            std::size_t index) const;
-  /// Dead-node interval path: optional self-capture, swallow Ψ into the
-  /// lost accounting, count the interval. Runs on the node's own worker.
-  void absorb_dead_interval(NodeRuntime& node,
-                            const std::vector<core::ItemBundle>& psi);
+  /// Dead-node interval path: swallows Ψ into the lost accounting (the
+  /// caller does the optional self-capture). Runs on the node's own
+  /// worker.
+  void absorb_dead_interval(const std::vector<core::ItemBundle>& psi);
   /// Chaos driver step; runs on the root worker only (single-threaded in
   /// both runtime modes — complete_root_interval is only ever called from
   /// the root node's task/thread), so its state needs no lock.

@@ -42,7 +42,7 @@ JobScheduler::JobScheduler(Options options) : options_(std::move(options)) {
 JobScheduler::~JobScheduler() { shutdown(); }
 
 JobScheduler::TaskId JobScheduler::add_task(
-    std::string name, std::function<void()> body,
+    [[maybe_unused]] std::string_view name, std::function<void()> body,
     std::function<std::int64_t()> epoch_probe) {
   std::lock_guard<std::mutex> lock(sleep_mutex_);
   if (started_) {
@@ -50,7 +50,9 @@ JobScheduler::TaskId JobScheduler::add_task(
   }
   tasks_.emplace_back();
   Task& task = tasks_.back();
-  task.name = std::move(name);
+  AIOT_OBS(if (options_.tracer != nullptr) {
+    task.trace_name = options_.tracer->intern(name);
+  });
   task.body = std::move(body);
   task.epoch_probe = std::move(epoch_probe);
   return tasks_.size() - 1;
@@ -180,7 +182,7 @@ void JobScheduler::run_task(std::size_t worker, TaskId id) {
           wq.track != obs::ScopedSpan::kNoTrack) {
         const std::int64_t epoch =
             task.epoch_probe ? task.epoch_probe() : 0;
-        options_.tracer->complete(wq.track, task.name.c_str(), t_begin,
+        options_.tracer->complete(wq.track, task.trace_name, t_begin,
                                   options_.tracer->now_us(), epoch);
       });
   tasks_run_.fetch_add(1, std::memory_order_relaxed);

@@ -43,6 +43,7 @@
 #include <functional>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -78,9 +79,11 @@ class JobScheduler {
 
   /// Registers a task before start(). `body` runs until it can make no
   /// more progress and returns; it is re-run on every notify() that
-  /// arrives at or after its previous run. `epoch_probe` (optional)
-  /// annotates the task's trace spans with a policy epoch.
-  TaskId add_task(std::string name, std::function<void()> body,
+  /// arrives at or after its previous run. `name` labels the task's
+  /// trace spans (interned in the tracer, so the caller's string need
+  /// not outlive anything). `epoch_probe` (optional) annotates the
+  /// task's trace spans with a policy epoch.
+  TaskId add_task(std::string_view name, std::function<void()> body,
                   std::function<std::int64_t()> epoch_probe = {});
 
   /// Spawns the workers. add_task() is rejected afterwards (task storage
@@ -134,7 +137,10 @@ class JobScheduler {
   };
 
   struct Task {
-    std::string name;
+    /// The task name interned in options_.tracer (null without one).
+    /// The tracer owns the string, so recorded spans stay valid after
+    /// the scheduler is gone.
+    const char* trace_name{nullptr};
     std::function<void()> body;
     std::function<std::int64_t()> epoch_probe;
     std::atomic<std::uint8_t> state{kIdle};

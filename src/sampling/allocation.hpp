@@ -9,7 +9,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -29,18 +28,20 @@ struct SubStreamInfo {
   double weight{1.0};         // resolved W^in_i (not used by allocators)
 };
 
-using SizeMap = std::map<SubStreamId, std::size_t>;
-
 class AllocationPolicy {
  public:
   virtual ~AllocationPolicy() = default;
 
-  /// Splits `total_budget` reservoir slots across `streams`. Every
-  /// sub-stream must receive >= 1 slot whenever total_budget >= |streams|
-  /// (the fairness property stratification exists to provide).
-  [[nodiscard]] virtual SizeMap allocate(
-      std::size_t total_budget,
-      const std::vector<SubStreamInfo>& streams) const = 0;
+  /// Splits `total_budget` reservoir slots across `streams`, writing
+  /// N_i to `sizes[i]` for `streams[i]` (`sizes` is resized to match;
+  /// callers keep it across calls so sizing allocates nothing in steady
+  /// state). Every sub-stream must receive >= 1 slot whenever
+  /// total_budget >= |streams| (the fairness property stratification
+  /// exists to provide). Ties are broken by ascending id, so the result
+  /// does not depend on the order of `streams`.
+  virtual void allocate(std::size_t total_budget,
+                        const std::vector<SubStreamInfo>& streams,
+                        std::vector<std::size_t>& sizes) const = 0;
 
   [[nodiscard]] virtual std::string name() const = 0;
 };
@@ -50,9 +51,9 @@ class AllocationPolicy {
 /// no sub-stream is neglected regardless of its arrival rate.
 class EqualAllocation final : public AllocationPolicy {
  public:
-  [[nodiscard]] SizeMap allocate(
-      std::size_t total_budget,
-      const std::vector<SubStreamInfo>& streams) const override;
+  void allocate(std::size_t total_budget,
+                const std::vector<SubStreamInfo>& streams,
+                std::vector<std::size_t>& sizes) const override;
   [[nodiscard]] std::string name() const override { return "equal"; }
 };
 
@@ -61,9 +62,9 @@ class EqualAllocation final : public AllocationPolicy {
 /// ApproxIoT's accuracy win comes from equal allocation.
 class ProportionalAllocation final : public AllocationPolicy {
  public:
-  [[nodiscard]] SizeMap allocate(
-      std::size_t total_budget,
-      const std::vector<SubStreamInfo>& streams) const override;
+  void allocate(std::size_t total_budget,
+                const std::vector<SubStreamInfo>& streams,
+                std::vector<std::size_t>& sizes) const override;
   [[nodiscard]] std::string name() const override { return "proportional"; }
 };
 
@@ -72,9 +73,9 @@ class ProportionalAllocation final : public AllocationPolicy {
 /// the paper (its future-work "automated cost function" direction).
 class NeymanAllocation final : public AllocationPolicy {
  public:
-  [[nodiscard]] SizeMap allocate(
-      std::size_t total_budget,
-      const std::vector<SubStreamInfo>& streams) const override;
+  void allocate(std::size_t total_budget,
+                const std::vector<SubStreamInfo>& streams,
+                std::vector<std::size_t>& sizes) const override;
   [[nodiscard]] std::string name() const override { return "neyman"; }
 };
 

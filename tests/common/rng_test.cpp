@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <set>
 #include <vector>
@@ -171,6 +172,61 @@ TEST(RngTest, SplitStreamsAreDistinct) {
     if (a.next() == b.next()) ++same;
   }
   EXPECT_EQ(same, 0);
+}
+
+/// Test-local reference: the published xoshiro256** jump, walking 256
+/// state transitions and XOR-accumulating the states the polynomial
+/// selects. Rng::jump() must agree with it on every state.
+std::array<std::uint64_t, 4> reference_jump(std::array<std::uint64_t, 4> s) {
+  static constexpr std::uint64_t kJump[] = {
+      0x180ec6d33cfd0abaULL, 0xd5a61266f0c9392cULL, 0xa9582618e03fc9aaULL,
+      0x39abdc4529b1661cULL};
+  Rng walker;
+  walker.restore_state(Rng::State{s, false, 0.0});
+  std::array<std::uint64_t, 4> acc{};
+  for (const std::uint64_t word : kJump) {
+    for (int bit = 0; bit < 64; ++bit) {
+      if (word & (1ULL << bit)) {
+        const auto cur = walker.save_state().s;
+        for (std::size_t i = 0; i < 4; ++i) acc[i] ^= cur[i];
+      }
+      walker.next();
+    }
+  }
+  return acc;
+}
+
+TEST(RngTest, JumpMatchesReferenceWalkOnRandomStates) {
+  Rng source(2024);
+  for (int trial = 0; trial < 1000; ++trial) {
+    std::array<std::uint64_t, 4> s{};
+    for (auto& w : s) w = source.next();
+    // Sparse states too: single bits and all-zero words hit individual
+    // table rows.
+    if (trial % 10 == 0) s = {1ULL << (trial % 64), 0, 0, 0};
+    if (trial % 10 == 1) s = {0, 0, 0, 1ULL << (trial % 64)};
+    Rng rng;
+    rng.restore_state(Rng::State{s, false, 0.0});
+    rng.jump();
+    ASSERT_EQ(rng.save_state().s, reference_jump(s)) << "trial " << trial;
+  }
+}
+
+TEST(RngTest, JumpKnownAnswer) {
+  Rng rng(42);
+  rng.jump();
+  const std::array<std::uint64_t, 4> expected{
+      0x81746704fde896b5ULL, 0x645e944932dae0aeULL, 0xf4776829231c282cULL,
+      0x2393f9798732dba1ULL};
+  EXPECT_EQ(rng.save_state().s, expected);
+}
+
+TEST(RngTest, JumpDropsCachedGaussian) {
+  Rng rng(5);
+  (void)rng.next_gaussian();
+  ASSERT_TRUE(rng.save_state().has_cached_gaussian);
+  rng.jump();
+  EXPECT_FALSE(rng.save_state().has_cached_gaussian);
 }
 
 }  // namespace

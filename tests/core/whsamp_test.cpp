@@ -150,5 +150,88 @@ TEST(WHSamplerTest, BundleFlattening) {
   EXPECT_DOUBLE_EQ(bundle.w_in.get(SubStreamId{1}), 1.0);
 }
 
+Rng jumped(Rng rng, int times) {
+  for (int i = 0; i < times; ++i) rng.jump();
+  return rng;
+}
+
+/// `ids.size()` overflowing strata of 30 distinct-valued items each.
+std::vector<Item> overflowing_strata(const std::vector<std::uint64_t>& ids) {
+  std::vector<Item> items;
+  for (int i = 0; i < 30; ++i) {
+    for (const std::uint64_t id : ids) {
+      items.push_back(Item{SubStreamId{id}, id * 1000.0 + i, i});
+    }
+  }
+  return items;
+}
+
+/// Checks one sample() call against the documented stream chain: with
+/// entry state s, the j-th stratum (ascending id) is a reservoir of its
+/// N_j = budget / k slots drawing from J^(j+2)(s), and the sampler ends
+/// at J^k(s).
+void expect_stream_chain(WHSampler& sampler,
+                         const std::vector<std::uint64_t>& sorted_ids) {
+  const std::size_t k = sorted_ids.size();
+  const std::size_t per_stratum = 8;
+  Rng entry;
+  entry.restore_state(sampler.rng_state());
+  const std::vector<Item> items = overflowing_strata(sorted_ids);
+  const SampledBundle out = sampler.sample(items, per_stratum * k, {});
+  for (std::size_t j = 0; j < k; ++j) {
+    const SubStreamId id{sorted_ids[j]};
+    sampling::ReservoirSampler<Item> reference(
+        per_stratum, jumped(entry, static_cast<int>(j) + 2));
+    for (const Item& item : items) {
+      if (item.source == id) reference.offer(item);
+    }
+    const ItemSpan got = out.sample.at(id);
+    const std::vector<Item> got_items(got.begin(), got.end());
+    EXPECT_EQ(got_items, reference.contents()) << "stratum " << j;
+  }
+  EXPECT_EQ(sampler.rng_state().s,
+            jumped(entry, static_cast<int>(k)).save_state().s);
+}
+
+TEST(WHSamplerStreamTest, StratumJDrawsFromEntryJumpedJPlusTwo) {
+  WHSampler sampler(Rng(77));
+  expect_stream_chain(sampler, {3, 8, 11, 20, 42});
+  // The second call starts from the carried state (and the look-ahead
+  // primed by the first call).
+  expect_stream_chain(sampler, {5, 6});
+  expect_stream_chain(sampler, {1});
+}
+
+TEST(WHSamplerStreamTest, RestoreWithPrimedLookAheadContinuesBitIdentically) {
+  const std::vector<Item> first = overflowing_strata({2, 4, 6});
+  const std::vector<Item> second = overflowing_strata({1, 3, 5, 7});
+  const std::vector<Item> third = overflowing_strata({9});
+
+  WHSampler uninterrupted(Rng(5));
+  (void)uninterrupted.sample(first, 12, {});
+  const Rng::State saved = uninterrupted.rng_state();
+  const SampledBundle second_ref = uninterrupted.sample(second, 12, {});
+  const SampledBundle third_ref = uninterrupted.sample(third, 12, {});
+
+  // A sampler whose look-ahead is primed from a different history: the
+  // restore must discard it, not sample from it.
+  WHSampler restored(Rng(6));
+  (void)restored.sample(first, 12, {});
+  restored.set_rng_state(saved);
+  const SampledBundle second_got = restored.sample(second, 12, {});
+  const SampledBundle third_got = restored.sample(third, 12, {});
+
+  EXPECT_EQ(second_got.sample, second_ref.sample);
+  EXPECT_EQ(second_got.w_out, second_ref.w_out);
+  EXPECT_EQ(third_got.sample, third_ref.sample);
+  EXPECT_EQ(restored.rng_state().s, uninterrupted.rng_state().s);
+
+  // Restoring the state a sampler already holds is a no-op too.
+  WHSampler same(Rng(5));
+  (void)same.sample(first, 12, {});
+  same.set_rng_state(same.rng_state());
+  EXPECT_EQ(same.sample(second, 12, {}).sample, second_ref.sample);
+}
+
 }  // namespace
 }  // namespace approxiot::core

@@ -58,7 +58,7 @@ TEST(BrokerStressTest, RebalanceStormKeepsSinglePartitionOwnership) {
     std::vector<std::thread> threads;
     for (int t = 0; t < kThreads; ++t) {
       threads.emplace_back([&broker, &topics, t, round] {
-        const std::string member = "m" + std::to_string(t);
+        const std::string member = std::string("m").append(std::to_string(t));
         // A burst of churn: join, commit a few offsets, maybe bounce.
         auto joined = broker.join_group(kGroup, member, topics);
         ASSERT_TRUE(joined.is_ok());
@@ -82,7 +82,9 @@ TEST(BrokerStressTest, RebalanceStormKeepsSinglePartitionOwnership) {
     // Deterministic post-churn membership for this round.
     std::set<std::string> members;
     for (int t = 0; t < kThreads; ++t) {
-      if (t % 2 != round % 2) members.insert("m" + std::to_string(t));
+      if (t % 2 != round % 2) {
+        members.insert(std::string("m").append(std::to_string(t)));
+      }
     }
     expect_exactly_one_owner(broker, members);
   }
@@ -107,7 +109,7 @@ TEST(BrokerStressTest, GenerationAdvancesMonotonicallyUnderChurn) {
   std::vector<std::thread> churners;
   for (int t = 0; t < 4; ++t) {
     churners.emplace_back([&broker, t] {
-      const std::string member = "g" + std::to_string(t);
+      const std::string member = std::string("g").append(std::to_string(t));
       for (int i = 0; i < 50; ++i) {
         ASSERT_TRUE(
             broker.join_group(kGroup, member, {kTopicA}).is_ok());

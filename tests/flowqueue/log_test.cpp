@@ -27,7 +27,7 @@ TEST(PartitionLogTest, AppendAssignsDenseOffsets) {
 TEST(PartitionLogTest, ReadReturnsRequestedRange) {
   PartitionLog log;
   for (int i = 0; i < 10; ++i) {
-    log.append(make_record("k" + std::to_string(i)));
+    log.append(make_record(std::string("k").append(std::to_string(i))));
   }
   std::vector<Record> out;
   EXPECT_EQ(log.read(3, 4, out), 4u);

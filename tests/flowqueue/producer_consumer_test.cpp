@@ -119,7 +119,7 @@ TEST_F(ProducerConsumerTest, PollEmptyTopicReturnsNothing) {
 TEST_F(ProducerConsumerTest, PollAdvancesPositionNoDuplicates) {
   Producer producer(broker_);
   for (int i = 0; i < 20; ++i) {
-    ASSERT_TRUE(producer.send("t", "k" + std::to_string(i),
+    ASSERT_TRUE(producer.send("t", std::string("k").append(std::to_string(i)),
                               payload(std::to_string(i)))
                     .is_ok());
   }
@@ -135,7 +135,7 @@ TEST_F(ProducerConsumerTest, PollAdvancesPositionNoDuplicates) {
   }
   EXPECT_EQ(seen.size(), 20u);
   for (int i = 0; i < 20; ++i) {
-    EXPECT_EQ(seen.count("k" + std::to_string(i)), 1u) << i;
+    EXPECT_EQ(seen.count(std::string("k").append(std::to_string(i))), 1u) << i;
   }
   EXPECT_EQ(consumer.total_lag(), 0);
 }
@@ -231,9 +231,10 @@ TEST_F(ProducerConsumerTest, CommitAndRestore) {
 TEST_F(ProducerConsumerTest, GroupMembersShareTheTopicDisjointly) {
   Producer producer(broker_);
   for (int i = 0; i < 40; ++i) {
+    const std::string key = std::string("k").append(std::to_string(i));
     ASSERT_TRUE(producer
                     .send_to_partition("t", static_cast<std::uint32_t>(i % 2),
-                                       "k" + std::to_string(i), payload("x"))
+                                       key, payload("x"))
                     .is_ok());
   }
   Consumer c1(broker_, "m1"), c2(broker_, "m2");

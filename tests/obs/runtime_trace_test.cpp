@@ -127,7 +127,7 @@ TEST(ObsRuntimeTraceTest, SixtyFourNodeTraceAndCrossRuntimePrometheus) {
   flowqueue::Producer producer(broker);
   for (int i = 0; i < 5; ++i) {
     ASSERT_TRUE(producer
-                    .send("in", "k" + std::to_string(i), {1},
+                    .send("in", std::string("k").append(std::to_string(i)), {1},
                           SimTime::from_millis(i))
                     .is_ok());
   }

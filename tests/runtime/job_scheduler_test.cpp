@@ -1,6 +1,7 @@
 // JobScheduler: task completion on a small pool, the 4-state wake
 // machine (coalescing, notify-while-running re-run, mutual exclusion),
-// work stealing, the notify_all chaos hook, and the obs surface.
+// work stealing, the notify_all chaos hook, and the obs surface (stats
+// and the lifetime of task-named trace spans).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -8,10 +9,12 @@
 #include <mutex>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "obs/stats.hpp"
+#include "obs/trace.hpp"
 #include "runtime/job_scheduler.hpp"
 
 namespace approxiot::runtime {
@@ -39,7 +42,7 @@ TEST(JobSchedulerTest, RunsEveryNotifiedTaskOnAFixedPool) {
   constexpr std::size_t kTasks = 100;
   std::atomic<std::size_t> runs{0};
   for (std::size_t i = 0; i < kTasks; ++i) {
-    scheduler.add_task("t" + std::to_string(i),
+    scheduler.add_task(std::string("t").append(std::to_string(i)),
                        [&runs] { runs.fetch_add(1); });
   }
   EXPECT_EQ(scheduler.task_count(), kTasks);
@@ -215,7 +218,8 @@ TEST(JobSchedulerTest, NotifyAllStormIsHarmless) {
     // Each task does its "real work" exactly once; later (spurious) runs
     // find nothing to do, like an event task re-checking its channels.
     auto flag = std::make_shared<std::atomic<bool>>(false);
-    scheduler.add_task("t" + std::to_string(i), [&work_done, flag] {
+    const std::string name = std::string("t").append(std::to_string(i));
+    scheduler.add_task(name, [&work_done, flag] {
       bool expected = false;
       if (flag->compare_exchange_strong(expected, true)) {
         work_done.fetch_add(1);
@@ -268,7 +272,7 @@ TEST(JobSchedulerTest, ShutdownDrainsQueuedWakesAndIsIdempotent) {
   constexpr std::size_t kTasks = 32;
   std::atomic<std::size_t> runs{0};
   for (std::size_t i = 0; i < kTasks; ++i) {
-    scheduler.add_task("t" + std::to_string(i),
+    scheduler.add_task(std::string("t").append(std::to_string(i)),
                        [&runs] { runs.fetch_add(1); });
   }
   scheduler.start();
@@ -277,6 +281,56 @@ TEST(JobSchedulerTest, ShutdownDrainsQueuedWakesAndIsIdempotent) {
   EXPECT_EQ(runs.load(), kTasks);
   scheduler.shutdown();  // idempotent
   EXPECT_EQ(runs.load(), kTasks);
+}
+
+TEST(JobSchedulerTest, TraceOutlivesSchedulerAndTaskNames) {
+  // Task spans name the task; the trace must stay serialisable after the
+  // scheduler (and the caller's name strings) are gone. Under ASan a
+  // dangling name pointer fails here.
+  obs::Tracer tracer;
+  std::atomic<int> runs{0};
+  {
+    JobScheduler::Options options;
+    options.workers = 2;
+    options.tracer = &tracer;
+    options.scope = "tracesched";
+    JobScheduler scheduler(std::move(options));
+    for (int i = 0; i < 4; ++i) {
+      const std::string name =
+          std::string("task-with-a-long-heap-allocated-name-")
+              .append(std::to_string(i));
+      scheduler.add_task(name, [&runs] { runs.fetch_add(1); });
+    }
+    scheduler.start();
+    scheduler.notify_all();
+    ASSERT_TRUE(wait_for([&] { return runs.load() >= 4; }));
+    scheduler.shutdown();
+  }
+  const std::string json = tracer.to_chrome_json();
+  const std::string jsonl = tracer.to_jsonl();
+#ifdef APPROXIOT_NO_STATS
+  EXPECT_EQ(tracer.event_count(), 0u);
+#else
+  EXPECT_EQ(tracer.event_count(), 4u);
+  for (int i = 0; i < 4; ++i) {
+    const std::string name =
+        std::string("\"task-with-a-long-heap-allocated-name-")
+            .append(std::to_string(i))
+            .append("\"");
+    EXPECT_NE(json.find(name), std::string::npos) << name;
+    EXPECT_NE(jsonl.find(name), std::string::npos) << name;
+  }
+#endif
+}
+
+TEST(TracerInternTest, EqualNamesShareOneStableCopy) {
+  obs::Tracer tracer;
+  std::string name = "stage";
+  const char* first = tracer.intern(name);
+  name = "overwritten";
+  EXPECT_STREQ(first, "stage");
+  EXPECT_EQ(tracer.intern("stage"), first);
+  EXPECT_NE(tracer.intern("other"), first);
 }
 
 }  // namespace

@@ -17,25 +17,30 @@ std::vector<SubStreamInfo> make_streams(
   return out;
 }
 
-std::size_t total(const SizeMap& m) {
-  return std::accumulate(m.begin(), m.end(), std::size_t{0},
-                         [](std::size_t acc, const auto& kv) {
-                           return acc + kv.second;
-                         });
+std::vector<std::size_t> allocate(const AllocationPolicy& policy,
+                                  std::size_t budget,
+                                  const std::vector<SubStreamInfo>& streams) {
+  std::vector<std::size_t> sizes;
+  policy.allocate(budget, streams, sizes);
+  return sizes;
+}
+
+std::size_t total(const std::vector<std::size_t>& sizes) {
+  return std::accumulate(sizes.begin(), sizes.end(), std::size_t{0});
 }
 
 TEST(EqualAllocationTest, SplitsEvenly) {
   EqualAllocation policy;
-  const auto sizes = policy.allocate(100, make_streams({10, 10, 10, 10}));
+  const auto sizes = allocate(policy, 100, make_streams({10, 10, 10, 10}));
   ASSERT_EQ(sizes.size(), 4u);
-  for (const auto& [id, n] : sizes) EXPECT_EQ(n, 25u) << id;
+  for (const std::size_t n : sizes) EXPECT_EQ(n, 25u);
 }
 
 TEST(EqualAllocationTest, RemainderDistributedTotalExact) {
   EqualAllocation policy;
-  const auto sizes = policy.allocate(10, make_streams({5, 5, 5}));
+  const auto sizes = allocate(policy, 10, make_streams({5, 5, 5}));
   EXPECT_EQ(total(sizes), 10u);
-  for (const auto& [_, n] : sizes) {
+  for (const std::size_t n : sizes) {
     EXPECT_GE(n, 3u);
     EXPECT_LE(n, 4u);
   }
@@ -44,47 +49,70 @@ TEST(EqualAllocationTest, RemainderDistributedTotalExact) {
 TEST(EqualAllocationTest, EveryStreamGetsAtLeastOneWhenBudgetAllows) {
   EqualAllocation policy;
   // Highly imbalanced counts must not matter for the equal policy.
-  const auto sizes = policy.allocate(8, make_streams({1000000, 1, 1, 1}));
-  for (const auto& [_, n] : sizes) EXPECT_GE(n, 1u);
+  const auto sizes = allocate(policy, 8, make_streams({1000000, 1, 1, 1}));
+  for (const std::size_t n : sizes) EXPECT_GE(n, 1u);
   EXPECT_EQ(total(sizes), 8u);
 }
 
 TEST(EqualAllocationTest, DegenerateBudgetBelowStreamCount) {
   EqualAllocation policy;
-  const auto sizes = policy.allocate(2, make_streams({10, 10, 10, 10}));
+  const auto sizes = allocate(policy, 2, make_streams({10, 10, 10, 10}));
   EXPECT_EQ(total(sizes), 2u);
   // Slots go to the lowest ids, deterministically.
-  EXPECT_EQ(sizes.at(approxiot::SubStreamId{1}), 1u);
-  EXPECT_EQ(sizes.at(approxiot::SubStreamId{2}), 1u);
-  EXPECT_EQ(sizes.at(approxiot::SubStreamId{3}), 0u);
-  EXPECT_EQ(sizes.at(approxiot::SubStreamId{4}), 0u);
+  EXPECT_EQ(sizes[0], 1u);
+  EXPECT_EQ(sizes[1], 1u);
+  EXPECT_EQ(sizes[2], 0u);
+  EXPECT_EQ(sizes[3], 0u);
 }
 
 TEST(EqualAllocationTest, ZeroBudgetGivesAllZeros) {
   EqualAllocation policy;
-  const auto sizes = policy.allocate(0, make_streams({5, 5}));
+  const auto sizes = allocate(policy, 0, make_streams({5, 5}));
   EXPECT_EQ(total(sizes), 0u);
 }
 
-TEST(EqualAllocationTest, EmptyStreamsGiveEmptyMap) {
+TEST(EqualAllocationTest, EmptyStreamsGiveEmptySizes) {
   EqualAllocation policy;
-  EXPECT_TRUE(policy.allocate(100, {}).empty());
+  EXPECT_TRUE(allocate(policy, 100, {}).empty());
+}
+
+TEST(EqualAllocationTest, SizesFollowStreamOrderAndTiesGoToLowestIds) {
+  // Streams in descending id order: sizes[i] still belongs to streams[i],
+  // and both the degenerate and the leftover deal favour the lowest ids.
+  EqualAllocation policy;
+  const std::vector<SubStreamInfo> streams = {
+      {approxiot::SubStreamId{30}, 5, 0.0},
+      {approxiot::SubStreamId{10}, 5, 0.0},
+      {approxiot::SubStreamId{20}, 5, 0.0}};
+  EXPECT_EQ(allocate(policy, 2, streams),
+            (std::vector<std::size_t>{0, 1, 1}));
+  EXPECT_EQ(allocate(policy, 4, streams),
+            (std::vector<std::size_t>{1, 2, 1}));
+}
+
+TEST(EqualAllocationTest, ReusedSizesVectorIsResized) {
+  EqualAllocation policy;
+  std::vector<std::size_t> sizes(9, 77);
+  policy.allocate(6, make_streams({1, 1, 1}), sizes);
+  EXPECT_EQ(sizes, (std::vector<std::size_t>{2, 2, 2}));
+  policy.allocate(7, make_streams({1, 1, 1, 1}), sizes);
+  EXPECT_EQ(sizes, (std::vector<std::size_t>{2, 2, 2, 1}));
 }
 
 TEST(ProportionalAllocationTest, FollowsCounts) {
   ProportionalAllocation policy;
-  const auto sizes = policy.allocate(103, make_streams({300, 100, 100}));
+  const auto sizes = allocate(policy, 103, make_streams({300, 100, 100}));
   EXPECT_EQ(total(sizes), 103u);
   // 100 spare after the 3 guaranteed slots: 60/20/20.
-  EXPECT_EQ(sizes.at(approxiot::SubStreamId{1}), 61u);
-  EXPECT_EQ(sizes.at(approxiot::SubStreamId{2}), 21u);
-  EXPECT_EQ(sizes.at(approxiot::SubStreamId{3}), 21u);
+  EXPECT_EQ(sizes[0], 61u);
+  EXPECT_EQ(sizes[1], 21u);
+  EXPECT_EQ(sizes[2], 21u);
 }
 
 TEST(ProportionalAllocationTest, RareStreamStillGuaranteedOne) {
   ProportionalAllocation policy;
-  const auto sizes = policy.allocate(100, make_streams({1000000, 1}));
-  EXPECT_GE(sizes.at(approxiot::SubStreamId{2}), 1u);
+  const auto sizes = allocate(policy, 100, make_streams({1000000, 1}));
+  EXPECT_GE(sizes[1], 1u);
   EXPECT_EQ(total(sizes), 100u);
 }
 
@@ -94,10 +122,9 @@ TEST(NeymanAllocationTest, HigherVarianceGetsMoreSlots) {
       {approxiot::SubStreamId{1}, 100, 1.0},
       {approxiot::SubStreamId{2}, 100, 10.0},
   };
-  const auto sizes = policy.allocate(110, streams);
+  const auto sizes = allocate(policy, 110, streams);
   EXPECT_EQ(total(sizes), 110u);
-  EXPECT_GT(sizes.at(approxiot::SubStreamId{2}),
-            sizes.at(approxiot::SubStreamId{1}));
+  EXPECT_GT(sizes[1], sizes[0]);
 }
 
 TEST(NeymanAllocationTest, ZeroStddevDegradesGracefully) {
@@ -106,9 +133,9 @@ TEST(NeymanAllocationTest, ZeroStddevDegradesGracefully) {
       {approxiot::SubStreamId{1}, 100, 0.0},
       {approxiot::SubStreamId{2}, 100, 0.0},
   };
-  const auto sizes = policy.allocate(10, streams);
+  const auto sizes = allocate(policy, 10, streams);
   EXPECT_EQ(total(sizes), 10u);
-  EXPECT_EQ(sizes.at(approxiot::SubStreamId{1}), 5u);
+  EXPECT_EQ(sizes[0], 5u);
 }
 
 TEST(AllocationFactoryTest, KnownNames) {
@@ -127,11 +154,13 @@ TEST_P(AllocationPropertyTest, TotalsExactAndFair) {
   const std::size_t budget = GetParam();
   const auto streams = make_streams({1, 10, 100, 1000, 10000});
   for (const char* name : {"equal", "proportional", "neyman"}) {
-    const auto sizes = make_allocation_policy(name)->allocate(budget, streams);
+    const auto sizes =
+        allocate(*make_allocation_policy(name), budget, streams);
     EXPECT_EQ(total(sizes), budget) << name;
     if (budget >= streams.size()) {
-      for (const auto& [id, n] : sizes) {
-        EXPECT_GE(n, 1u) << name << " starved sub-stream " << id;
+      for (std::size_t i = 0; i < sizes.size(); ++i) {
+        EXPECT_GE(sizes[i], 1u)
+            << name << " starved sub-stream " << streams[i].id;
       }
     }
   }

@@ -10,7 +10,7 @@ namespace {
 SubStreamSpec spec(std::uint64_t id, double rate, double mean = 1.0) {
   SubStreamSpec s;
   s.id = SubStreamId{id};
-  s.name = "s" + std::to_string(id);
+  s.name = std::string("s").append(std::to_string(id));
   s.values = std::make_shared<stats::GaussianDistribution>(mean, 0.0);
   s.rate_items_per_s = rate;
   return s;
