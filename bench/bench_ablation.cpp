@@ -82,7 +82,8 @@ void worker_ablation() {
   for (std::size_t workers : {1u, 2u, 4u, 8u}) {
     core::ParallelSampler sampler(workers, Rng(workers * 31 + 1));
     const auto start = std::chrono::steady_clock::now();
-    auto out = sampler.sample(items, 10000, core::WeightMap{});
+    core::SampledBundle out;
+    sampler.sample(items, 10000, core::WeightMap{}, out);
     const auto elapsed = std::chrono::duration<double>(
                              std::chrono::steady_clock::now() - start)
                              .count();

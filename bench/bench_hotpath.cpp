@@ -142,8 +142,8 @@ core::ItemBundle legacy_to_bundle(const LegacyBundle& bundle) {
                                        const std::vector<Item>& items,
                                        std::size_t budget) {
   scratch.assign(items);
-  core::SampledBundle bundle =
-      sampler.sample_strata(scratch, budget, core::WeightMap{});
+  core::SampledBundle bundle;
+  sampler.sample_strata(scratch, budget, core::WeightMap{}, bundle);
   const std::vector<std::uint8_t> payload = core::encode_bundle(bundle);
   core::ItemBundle forwarded = std::move(bundle).to_bundle();
   return payload.size() + forwarded.items.size();
@@ -240,8 +240,8 @@ void check_modes_agree(std::size_t n) {
   core::WHSampler flat{Rng(kSeed)};
   core::StratifiedBatch scratch;
   scratch.assign(items);
-  const core::SampledBundle got =
-      flat.sample_strata(scratch, budget, core::WeightMap{});
+  core::SampledBundle got;
+  flat.sample_strata(scratch, budget, core::WeightMap{}, got);
   LegacySampler legacy{Rng(kSeed)};
   const LegacyBundle expected = legacy.sample(items, budget, {});
   if (got.sample.size() != expected.sample.size()) {

@@ -88,8 +88,8 @@ inline std::uint64_t fold_item(std::uint64_t checksum, const Item& item) {
     AIOT_OBS(if (exec_us != nullptr) t0 = std::chrono::steady_clock::now(););
 
     scratch.assign(items);
-    core::SampledBundle bundle =
-        sampler.sample_strata(scratch, budget, core::WeightMap{});
+    core::SampledBundle bundle;
+    sampler.sample_strata(scratch, budget, core::WeightMap{}, bundle);
     core::ItemBundle forwarded = std::move(bundle).to_bundle();
     for (const Item& item : forwarded.items) {
       result.checksum = fold_item(result.checksum, item);

@@ -49,6 +49,25 @@ struct SampledBundle {
     return sample.item_count();
   }
 
+  /// Empties the bundle but keeps its buffers (arena, directory, weight
+  /// table), so a producer can sample into it again without allocating.
+  void clear() noexcept {
+    w_out.clear();
+    sample.clear();
+    policy_epoch = 0;
+  }
+
+  /// Lends this bundle to a parent as its (W^in, items) pair, or takes the
+  /// buffers back: swaps W^out with `in.w_in`, the arena with `in.items`
+  /// and the epochs. O(1), no item copies. The directory is dropped, so a
+  /// bundle that has lent its buffers is spent until it is sampled into
+  /// again; swapping twice restores both sides' buffers.
+  void swap_buffers(ItemBundle& in) noexcept {
+    w_out.swap(in.w_in);
+    sample.swap_items(in.items);
+    std::swap(policy_epoch, in.policy_epoch);
+  }
+
   /// Flattens into an ItemBundle for transmission to the parent node.
   /// Items appear stratum by stratum in ascending sub-stream id order —
   /// exactly the concatenation the old map-of-vectors produced.
@@ -70,5 +89,15 @@ struct SampledBundle {
     return out;
   }
 };
+
+/// Slot `n` of a reused output vector, appended when the vector holds
+/// only n bundles. Stages that overwrite a caller-owned output vector
+/// fill slots 0, 1, ... this way — reusing last interval's bundles and
+/// their buffers — and then truncate to the number they produced.
+inline SampledBundle& output_slot(std::vector<SampledBundle>& out,
+                                  std::size_t n) {
+  if (n == out.size()) out.emplace_back();
+  return out[n];
+}
 
 }  // namespace approxiot::core

@@ -153,10 +153,9 @@ class SequentialLane final : public SamplingLane {
   SequentialLane(Rng rng, WHSampConfig config)
       : sampler_(rng, std::move(config)) {}
 
-  SampledBundle sample_strata(const StratifiedBatch& strata,
-                              std::size_t sample_size,
-                              const WeightMap& w_in) override {
-    return sampler_.sample_strata(strata, sample_size, w_in);
+  void sample_strata(const StratifiedBatch& strata, std::size_t sample_size,
+                     const WeightMap& w_in, SampledBundle& out) override {
+    sampler_.sample_strata(strata, sample_size, w_in, out);
   }
 
   std::size_t workers() const noexcept override { return 1; }
@@ -336,11 +335,10 @@ class PooledLane final : public SamplingLane {
     }
   }
 
-  SampledBundle sample_strata(const StratifiedBatch& batch,
-                              std::size_t sample_size,
-                              const WeightMap& w_in) override {
-    SampledBundle out;
-    if (batch.item_count() == 0) return out;
+  void sample_strata(const StratifiedBatch& batch, std::size_t sample_size,
+                     const WeightMap& w_in, SampledBundle& out) override {
+    out.clear();
+    if (batch.item_count() == 0) return;
 
     // Line 5 of Algorithm 1 is already done: the batch arena holds each
     // stratum contiguous and in arrival order, the directory sorted by
@@ -479,7 +477,6 @@ class PooledLane final : public SamplingLane {
         }
       }
     }
-    return out;
   }
 
   std::size_t workers() const noexcept override { return workers_; }

@@ -167,20 +167,24 @@ class SamplingLane {
 
   /// Convenience entry point: stratifies `items` into the lane's reused
   /// scratch batch, then runs the span-based path below.
-  [[nodiscard]] SampledBundle sample(const std::vector<Item>& items,
-                                     std::size_t sample_size,
-                                     const WeightMap& w_in) {
-    if (items.empty()) return SampledBundle{};
+  void sample(const std::vector<Item>& items, std::size_t sample_size,
+              const WeightMap& w_in, SampledBundle& out) {
+    if (items.empty()) {
+      out.clear();
+      return;
+    }
     scratch_.assign(items);
-    return sample_strata(scratch_, sample_size, w_in);
+    sample_strata(scratch_, sample_size, w_in, out);
   }
 
   /// Span-based hot path: one invocation of Algorithm 1 on input already
   /// stratified into a flat arena. Callers that stratify once per bundle
   /// (the node layer) call this directly and skip the scratch copy.
-  [[nodiscard]] virtual SampledBundle sample_strata(
-      const StratifiedBatch& strata, std::size_t sample_size,
-      const WeightMap& w_in) = 0;
+  /// Overwrites `out`, reusing its arena, directory and weight table —
+  /// the same contract as WHSampler::sample_strata.
+  virtual void sample_strata(const StratifiedBatch& strata,
+                             std::size_t sample_size, const WeightMap& w_in,
+                             SampledBundle& out) = 0;
 
   /// Reservoir shards per sub-stream (1 == the sequential path).
   [[nodiscard]] virtual std::size_t workers() const noexcept = 0;

@@ -26,8 +26,8 @@ SamplingNode::SamplingNode(NodeConfig config)
   lane_ = executor->create_lane(Rng(config_.rng_seed), config_.whsamp);
 }
 
-std::vector<SampledBundle> SamplingNode::process_interval(
-    const std::vector<ItemBundle>& psi) {
+void SamplingNode::process_interval(const std::vector<ItemBundle>& psi,
+                                    std::vector<SampledBundle>& out) {
   // Interval boundary = policy boundary (§IV-B live): resolve the current
   // control-plane snapshot before deriving this interval's budget. One
   // wait-free read; mid-interval publishes take effect next interval.
@@ -48,9 +48,8 @@ std::vector<SampledBundle> SamplingNode::process_interval(
   const std::size_t size =
       cost_function_->sample_size(config_.budget, observed, config_.interval);
 
-  std::vector<SampledBundle> outputs;
-  outputs.reserve(psi.size());
-
+  out.reserve(psi.size());  // exact: at most one output per input pair
+  std::size_t produced = 0;
   std::uint64_t items_this_interval = 0;
   // Lines 5-19: consume Ψ pair by pair. Algorithm 2 passes `size` to
   // every WHSamp call; with many pairs per interval that would multiply
@@ -89,13 +88,13 @@ std::vector<SampledBundle> SamplingNode::process_interval(
     // effective W^in — no per-bundle copy of the map.
     remembered_weights_.update_from(bundle.w_in);
 
-    SampledBundle out = lane_->sample_strata(strata_scratch_, pair_budget,
-                                             remembered_weights_);
-    out.policy_epoch = policy_epoch_;
-
-    metrics_.items_out += out.item_count();
-    outputs.push_back(std::move(out));
+    SampledBundle& sampled = output_slot(out, produced++);
+    lane_->sample_strata(strata_scratch_, pair_budget, remembered_weights_,
+                         sampled);
+    sampled.policy_epoch = policy_epoch_;
+    metrics_.items_out += sampled.item_count();
   }
+  out.resize(produced);
 
   metrics_.items_in += items_this_interval;
   ++metrics_.intervals;
@@ -103,8 +102,7 @@ std::vector<SampledBundle> SamplingNode::process_interval(
 
   AIOT_LOG(kDebug, "core.node")
       << "node " << config_.id << " interval done: in=" << items_this_interval
-      << " budget=" << size << " pairs=" << outputs.size();
-  return outputs;
+      << " budget=" << size << " pairs=" << produced;
 }
 
 void SamplingNode::save_state(CheckpointWriter& writer) const {
@@ -133,9 +131,8 @@ void SamplingNode::restore_state(CheckpointReader& reader) {
 RootNode::RootNode(NodeConfig config) : node_(std::move(config)) {}
 
 void RootNode::ingest_interval(const std::vector<ItemBundle>& psi) {
-  for (SampledBundle& bundle : node_.process_interval(psi)) {
-    theta_.add(bundle);
-  }
+  node_.process_interval(psi, outputs_);
+  for (const SampledBundle& bundle : outputs_) theta_.add(bundle);
 }
 
 ApproxResult RootNode::run_query(double confidence) const {

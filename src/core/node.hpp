@@ -77,9 +77,11 @@ class SamplingNode {
   explicit SamplingNode(NodeConfig config);
 
   /// Processes one interval's worth of input pairs (the paper's Ψ) and
-  /// returns the sampled pairs destined for the parent node.
-  [[nodiscard]] std::vector<SampledBundle> process_interval(
-      const std::vector<ItemBundle>& psi);
+  /// overwrites `out` with the sampled pairs destined for the parent node
+  /// (one per non-empty input pair). Bundles already in `out` are sampled
+  /// into again, buffers and all; extra ones are dropped.
+  void process_interval(const std::vector<ItemBundle>& psi,
+                        std::vector<SampledBundle>& out);
 
   /// Updates the budget between intervals (legacy synchronous feedback,
   /// §IV-B). With a bound policy handle the control plane wins: the next
@@ -162,6 +164,7 @@ class RootNode {
  private:
   SamplingNode node_;
   ThetaStore theta_;
+  std::vector<SampledBundle> outputs_;
 };
 
 }  // namespace approxiot::core

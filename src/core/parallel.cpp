@@ -9,10 +9,10 @@ ParallelSampler::ParallelSampler(std::size_t threads, Rng rng) {
   lane_ = executor_->create_lane(rng, WHSampConfig{});
 }
 
-SampledBundle ParallelSampler::sample(const std::vector<Item>& items,
-                                      std::size_t sample_size,
-                                      const WeightMap& w_in) {
-  return lane_->sample(items, sample_size, w_in);
+void ParallelSampler::sample(const std::vector<Item>& items,
+                             std::size_t sample_size, const WeightMap& w_in,
+                             SampledBundle& out) {
+  lane_->sample(items, sample_size, w_in, out);
 }
 
 }  // namespace approxiot::core

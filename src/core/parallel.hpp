@@ -28,9 +28,9 @@ class ParallelSampler {
  public:
   ParallelSampler(std::size_t threads, Rng rng);
 
-  [[nodiscard]] SampledBundle sample(const std::vector<Item>& items,
-                                     std::size_t sample_size,
-                                     const WeightMap& w_in);
+  /// Overwrites `out`, reusing its buffers (see WHSampler::sample).
+  void sample(const std::vector<Item>& items, std::size_t sample_size,
+              const WeightMap& w_in, SampledBundle& out);
 
   [[nodiscard]] std::size_t threads() const noexcept {
     return executor_->workers_per_lane();

@@ -68,9 +68,9 @@ class WhsStage final : public PipelineStage {
  public:
   explicit WhsStage(NodeConfig config) : node_(std::move(config)) {}
 
-  std::vector<SampledBundle> process_interval(
-      const std::vector<ItemBundle>& psi) override {
-    return node_.process_interval(psi);
+  void process_interval(const std::vector<ItemBundle>& psi,
+                        std::vector<SampledBundle>& out) override {
+    node_.process_interval(psi, out);
   }
 
   const NodeMetrics& metrics() const override { return node_.metrics(); }
@@ -103,9 +103,9 @@ class SrsStage final : public PipelineStage {
  public:
   explicit SrsStage(SrsNodeConfig config) : node_(std::move(config)) {}
 
-  std::vector<SampledBundle> process_interval(
-      const std::vector<ItemBundle>& psi) override {
-    return node_.process_interval(psi);
+  void process_interval(const std::vector<ItemBundle>& psi,
+                        std::vector<SampledBundle>& out) override {
+    node_.process_interval(psi, out);
   }
 
   const NodeMetrics& metrics() const override { return node_.metrics(); }
@@ -137,9 +137,9 @@ class SnapshotStage final : public PipelineStage {
   explicit SnapshotStage(SnapshotNodeConfig config)
       : node_(std::move(config)) {}
 
-  std::vector<SampledBundle> process_interval(
-      const std::vector<ItemBundle>& psi) override {
-    return node_.process_interval(psi);
+  void process_interval(const std::vector<ItemBundle>& psi,
+                        std::vector<SampledBundle>& out) override {
+    node_.process_interval(psi, out);
   }
 
   const NodeMetrics& metrics() const override { return node_.metrics(); }
@@ -166,23 +166,24 @@ class SnapshotStage final : public PipelineStage {
 /// Native stage: forwards everything untouched (weight stays 1).
 class NativeStage final : public PipelineStage {
  public:
-  std::vector<SampledBundle> process_interval(
-      const std::vector<ItemBundle>& psi) override {
-    std::vector<SampledBundle> out;
+  void process_interval(const std::vector<ItemBundle>& psi,
+                        std::vector<SampledBundle>& out) override {
     out.reserve(psi.size());
+    std::size_t produced = 0;
     for (const ItemBundle& bundle : psi) {
       if (bundle.items.empty()) continue;
       metrics_.items_in += bundle.items.size();
-      SampledBundle sampled;
+      SampledBundle& sampled = output_slot(out, produced++);
       sampled.sample.assign(bundle.items, stratify_scratch_);
+      sampled.w_out.clear();
+      sampled.policy_epoch = 0;
       for (const Stratum& s : sampled.sample.strata()) {
         sampled.w_out.set(s.id, bundle.w_in.get(s.id));
       }
       metrics_.items_out += sampled.item_count();
-      out.push_back(std::move(sampled));
     }
+    out.resize(produced);
     ++metrics_.intervals;
-    return out;
   }
 
   const NodeMetrics& metrics() const override { return metrics_; }
@@ -370,12 +371,12 @@ void EdgeTree::tick(const std::vector<std::vector<Item>>& items_per_leaf) {
         for (const ItemBundle& bundle : psi[i]) swallow_lost(bundle);
         continue;
       }
-      auto outputs = stages_[layer][i]->process_interval(psi[i]);
+      stages_[layer][i]->process_interval(psi[i], outputs_);
       // Children map onto parents by index scaling (contiguous blocks),
       // the shape of the paper's 8-4-2-1 testbed.
       const std::size_t parent =
           i * next_width / stages_[layer].size();
-      for (SampledBundle& bundle : outputs) {
+      for (SampledBundle& bundle : outputs_) {
         next_psi[parent].push_back(std::move(bundle).to_bundle());
       }
     }
@@ -389,9 +390,8 @@ void EdgeTree::tick(const std::vector<std::vector<Item>>& items_per_leaf) {
     return;
   }
   for (const auto& bundle : psi[0]) items_at_root_ += bundle.items.size();
-  for (SampledBundle& bundle : root_stage_->process_interval(psi[0])) {
-    theta_.add(bundle);
-  }
+  root_stage_->process_interval(psi[0], outputs_);
+  for (const SampledBundle& bundle : outputs_) theta_.add(bundle);
 }
 
 ApproxResult EdgeTree::close_window(double confidence) {

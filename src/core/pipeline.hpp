@@ -43,8 +43,22 @@ enum class EngineKind { kApproxIoT, kSrs, kNative, kSnapshot };
 class PipelineStage {
  public:
   virtual ~PipelineStage() = default;
-  [[nodiscard]] virtual std::vector<SampledBundle> process_interval(
-      const std::vector<ItemBundle>& psi) = 0;
+
+  /// Runs one interval of Algorithm 2 over Ψ and writes the (W^out,
+  /// sample) pairs for the parent into `out`, which the caller owns and
+  /// passes in again every interval. Contract:
+  ///   - `out` is overwritten: on return it holds exactly this interval's
+  ///     pairs, in Ψ order, and nothing from earlier calls — not a stale
+  ///     bundle, stratum, weight entry or epoch.
+  ///   - Bundles already in `out` are refilled in place, reusing their
+  ///     arenas, directories and weight tables; surplus ones are dropped.
+  ///     A caller that keeps `out` (or recycles it, as the concurrent
+  ///     runtime does with its channel messages) therefore allocates
+  ///     nothing per interval once the buffers have grown.
+  ///   - The output is bit-identical to sampling into a fresh vector.
+  /// `out` must not share buffers with `psi`.
+  virtual void process_interval(const std::vector<ItemBundle>& psi,
+                                std::vector<SampledBundle>& out) = 0;
   [[nodiscard]] virtual const NodeMetrics& metrics() const = 0;
   /// Legacy synchronous re-tune; with a bound control plane the policy
   /// resolved at the next interval boundary wins.
@@ -246,6 +260,9 @@ class EdgeTree {
   std::uint64_t lost_items_{0};
   /// Any detach active at any point during the current window.
   bool window_degraded_{false};
+  /// Output of the stage tick() is running, reused across stages and
+  /// intervals.
+  std::vector<SampledBundle> outputs_;
 };
 
 }  // namespace approxiot::core

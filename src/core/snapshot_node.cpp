@@ -43,8 +43,8 @@ void SnapshotNode::restore_state(CheckpointReader& reader) {
   policy_epoch_ = reader.get_u64();
 }
 
-std::vector<SampledBundle> SnapshotNode::process_interval(
-    const std::vector<ItemBundle>& psi) {
+void SnapshotNode::process_interval(const std::vector<ItemBundle>& psi,
+                                    std::vector<SampledBundle>& out) {
   // Interval boundary = policy boundary: re-derive the decimation period
   // from the resolved fraction. Only an actual epoch change re-rounds the
   // period, so an unchanged plane cannot drift the phase alignment.
@@ -63,24 +63,25 @@ std::vector<SampledBundle> SnapshotNode::process_interval(
   ++interval_index_;
   ++metrics_.intervals;
 
-  std::vector<SampledBundle> outputs;
+  out.reserve(psi.size());  // exact: at most one output per input pair
+  std::size_t produced = 0;
   for (const ItemBundle& bundle : psi) {
     if (bundle.items.empty()) continue;
     metrics_.items_in += bundle.items.size();
     if (!keep) continue;
 
-    SampledBundle out;
-    out.sample.assign(bundle.items, stratify_scratch_);
-    out.policy_epoch = policy_epoch_;
+    SampledBundle& sampled = output_slot(out, produced++);
+    sampled.sample.assign(bundle.items, stratify_scratch_);
+    sampled.w_out.clear();
+    sampled.policy_epoch = policy_epoch_;
     // Each kept snapshot stands for `period` intervals.
     const double scale = static_cast<double>(config_.period);
-    for (const Stratum& s : out.sample.strata()) {
-      out.w_out.set(s.id, bundle.w_in.get(s.id) * scale);
+    for (const Stratum& s : sampled.sample.strata()) {
+      sampled.w_out.set(s.id, bundle.w_in.get(s.id) * scale);
       metrics_.items_out += s.len;
     }
-    outputs.push_back(std::move(out));
   }
-  return outputs;
+  out.resize(produced);
 }
 
 }  // namespace approxiot::core

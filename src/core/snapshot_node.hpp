@@ -40,9 +40,10 @@ class SnapshotNode {
   explicit SnapshotNode(SnapshotNodeConfig config);
 
   /// Keeps the whole interval when (interval_index % period) == phase,
-  /// scaling weights by `period`; drops everything otherwise.
-  [[nodiscard]] std::vector<SampledBundle> process_interval(
-      const std::vector<ItemBundle>& psi);
+  /// scaling weights by `period`; drops everything otherwise. Overwrites
+  /// `out` (buffers reused; see SamplingNode::process_interval).
+  void process_interval(const std::vector<ItemBundle>& psi,
+                        std::vector<SampledBundle>& out);
 
   /// Sets the period so the long-run kept fraction approximates
   /// `fraction` (period = round(1/fraction), at least 1).

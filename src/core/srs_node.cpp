@@ -14,8 +14,8 @@ double SrsNode::probability() const noexcept {
   return sampler_.probability();
 }
 
-std::vector<SampledBundle> SrsNode::process_interval(
-    const std::vector<ItemBundle>& psi) {
+void SrsNode::process_interval(const std::vector<ItemBundle>& psi,
+                               std::vector<SampledBundle>& out) {
   // Interval boundary = policy boundary: the keep probability for the
   // whole interval comes from the current control-plane snapshot.
   if (config_.policy.bound()) {
@@ -26,9 +26,8 @@ std::vector<SampledBundle> SrsNode::process_interval(
     sampler_.set_probability(decision.budget.sampling_fraction);
   }
 
-  std::vector<SampledBundle> outputs;
-  outputs.reserve(psi.size());
-
+  out.reserve(psi.size());  // exact: at most one output per input pair
+  std::size_t produced = 0;
   for (const ItemBundle& bundle : psi) {
     if (bundle.items.empty()) continue;
     metrics_.items_in += bundle.items.size();
@@ -45,17 +44,17 @@ std::vector<SampledBundle> SrsNode::process_interval(
     }
     if (kept_scratch_.empty()) continue;
 
-    SampledBundle out;
-    out.sample.assign(kept_scratch_, stratify_scratch_);
-    out.policy_epoch = policy_epoch_;
-    for (const Stratum& s : out.sample.strata()) {
-      out.w_out.set(s.id, remembered_weights_.get(s.id) * ht);
+    SampledBundle& sampled = output_slot(out, produced++);
+    sampled.sample.assign(kept_scratch_, stratify_scratch_);
+    sampled.w_out.clear();
+    sampled.policy_epoch = policy_epoch_;
+    for (const Stratum& s : sampled.sample.strata()) {
+      sampled.w_out.set(s.id, remembered_weights_.get(s.id) * ht);
       metrics_.items_out += s.len;
     }
-    outputs.push_back(std::move(out));
   }
+  out.resize(produced);
   ++metrics_.intervals;
-  return outputs;
 }
 
 void SrsNode::save_state(CheckpointWriter& writer) const {
@@ -80,9 +79,8 @@ void SrsNode::restore_state(CheckpointReader& reader) {
 SrsRootNode::SrsRootNode(SrsNodeConfig config) : node_(config) {}
 
 void SrsRootNode::ingest_interval(const std::vector<ItemBundle>& psi) {
-  for (SampledBundle& bundle : node_.process_interval(psi)) {
-    theta_.add(bundle);
-  }
+  node_.process_interval(psi, outputs_);
+  for (const SampledBundle& bundle : outputs_) theta_.add(bundle);
 }
 
 ApproxResult SrsRootNode::run_query(double confidence) const {

@@ -37,10 +37,11 @@ class SrsNode {
  public:
   explicit SrsNode(SrsNodeConfig config);
 
-  /// Filters one interval's pairs. Item weights in the output are the
-  /// input weights scaled by 1/p (Horvitz–Thompson).
-  [[nodiscard]] std::vector<SampledBundle> process_interval(
-      const std::vector<ItemBundle>& psi);
+  /// Filters one interval's pairs into `out` (overwritten, buffers
+  /// reused; see SamplingNode::process_interval). Item weights in the
+  /// output are the input weights scaled by 1/p (Horvitz–Thompson).
+  void process_interval(const std::vector<ItemBundle>& psi,
+                        std::vector<SampledBundle>& out);
 
   void set_probability(double p);
   [[nodiscard]] double probability() const noexcept;
@@ -90,6 +91,7 @@ class SrsRootNode {
  private:
   SrsNode node_;
   ThetaStore theta_;
+  std::vector<SampledBundle> outputs_;
 };
 
 }  // namespace approxiot::core

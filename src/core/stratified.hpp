@@ -198,6 +198,15 @@ class StratifiedBatch {
     append_stratum(id, items.data(), items.size());
   }
 
+  /// Exchanges the arena with `items` and empties the directory: O(1), no
+  /// item copies. This lends a spent batch's arena out as a flat item
+  /// vector (and takes it back): the batch then holds no strata, and the
+  /// next assign/append rebuilds it in whatever buffer it holds.
+  void swap_items(std::vector<Item>& items) noexcept {
+    arena_.swap(items);
+    dir_.clear();
+  }
+
   /// Moves the arena out (items in stratum order — exactly the old
   /// map-of-vectors concatenation) and clears the batch. This is what
   /// makes SampledBundle::to_bundle() && a move instead of an O(n) copy.

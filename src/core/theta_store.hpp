@@ -32,14 +32,16 @@ class ThetaStore {
   void add_pair(SubStreamId id, WeightedSample pair,
                 std::uint64_t policy_epoch = 0);
 
-  void clear() noexcept {
-    pairs_.clear();
-    epoch_min_ = 0;
-    epoch_max_ = 0;
-    epoch_seen_ = false;
-  }
+  /// Empties the window but keeps its storage for the next one: every
+  /// pair's item buffer moves to a spare list that add() draws from, and
+  /// sub-streams seen this window keep their (now empty) pair lists.
+  /// What is kept is bounded by what this window held — spares left over
+  /// from the previous window and sub-streams idle for a whole window are
+  /// freed. Never allocates: add() keeps the spare list's capacity at or
+  /// above the number of pairs held.
+  void clear() noexcept;
 
-  [[nodiscard]] bool empty() const noexcept { return pairs_.empty(); }
+  [[nodiscard]] bool empty() const noexcept { return pair_count_ == 0; }
 
   /// All sub-streams with at least one pair.
   [[nodiscard]] std::vector<SubStreamId> sub_streams() const;
@@ -88,8 +90,15 @@ class ThetaStore {
 
  private:
   void note_epoch(std::uint64_t epoch) noexcept;
+  /// Appends an empty pair for `id`, its item buffer taken from spares_.
+  WeightedSample& new_pair(SubStreamId id);
 
+  /// Per sub-stream pair lists. A list may be empty (its sub-stream had
+  /// pairs last window): readers skip empty lists.
   std::map<SubStreamId, std::vector<WeightedSample>> pairs_;
+  std::size_t pair_count_{0};
+  /// Item buffers of cleared pairs, reused by new pairs.
+  std::vector<std::vector<Item>> spares_;
   std::uint64_t epoch_min_{0};
   std::uint64_t epoch_max_{0};
   bool epoch_seen_{false};

@@ -40,7 +40,9 @@ std::size_t WeightMap::find_slot(SubStreamId id) const noexcept {
 }
 
 void WeightMap::set(SubStreamId id, double weight) {
-  if (slots_.empty()) grow();
+  if (slots_.empty()) {
+    slots_.assign(kInitialSlots, Slot{});
+  }
   const std::size_t mask = slots_.size() - 1;
   std::size_t slot = static_cast<std::size_t>(hash(id)) & mask;
   while (slots_[slot].used) {
@@ -68,7 +70,7 @@ void WeightMap::set(SubStreamId id, double weight) {
 }
 
 void WeightMap::grow() {
-  const std::size_t new_size = slots_.empty() ? 16 : slots_.size() * 2;
+  const std::size_t new_size = slots_.size() * 2;
   std::vector<Slot> old = std::move(slots_);
   slots_.assign(new_size, Slot{});
   const std::size_t mask = new_size - 1;

@@ -67,9 +67,16 @@ class WeightMap {
     for (const auto& [id, w] : other) set(id, w);
   }
 
+  /// Empties the map but keeps its table: a cleared map refilled with
+  /// as many entries as before allocates nothing. Only occupied slots are
+  /// reset (through the sorted index), so the cost is O(size()).
   void clear() noexcept {
-    slots_.clear();
+    for (const std::uint32_t slot : order_) slots_[slot] = Slot{};
     order_.clear();
+  }
+  void swap(WeightMap& other) noexcept {
+    slots_.swap(other.slots_);
+    order_.swap(other.order_);
   }
   [[nodiscard]] std::size_t size() const noexcept { return order_.size(); }
   [[nodiscard]] bool empty() const noexcept { return order_.empty(); }
@@ -151,6 +158,9 @@ class WeightMap {
   };
 
   static constexpr std::size_t npos = static_cast<std::size_t>(-1);
+  /// First table size. Most maps travel with one bundle and hold one or a
+  /// few sub-streams, so the table starts small and doubles on demand.
+  static constexpr std::size_t kInitialSlots = 4;
   /// get_for_strata probes per stratum once the map holds more than this
   /// many entries per directory entry.
   static constexpr std::size_t kPointLookupRatio = 8;

@@ -19,21 +19,24 @@ WHSampler::WHSampler(Rng rng, WHSampConfig config)
       policy_(sampling::make_allocation_policy(config_.allocation_policy)),
       reservoir_(0, Rng{}, config_.reservoir_algorithm) {}
 
-SampledBundle WHSampler::sample(const std::vector<Item>& items,
-                                std::size_t sample_size,
-                                const WeightMap& w_in) {
-  if (items.empty()) return SampledBundle{};
+void WHSampler::sample(const std::vector<Item>& items,
+                       std::size_t sample_size, const WeightMap& w_in,
+                       SampledBundle& out) {
+  if (items.empty()) {
+    out.clear();
+    return;
+  }
   // Line 5: stratify into sub-streams (flat counting build, buffers
   // reused across calls).
   scratch_.assign(items);
-  return sample_strata(scratch_, sample_size, w_in);
+  sample_strata(scratch_, sample_size, w_in, out);
 }
 
-SampledBundle WHSampler::sample_strata(const StratifiedBatch& strata,
-                                       std::size_t sample_size,
-                                       const WeightMap& w_in) {
-  SampledBundle out;
-  if (strata.item_count() == 0) return out;
+void WHSampler::sample_strata(const StratifiedBatch& strata,
+                              std::size_t sample_size, const WeightMap& w_in,
+                              SampledBundle& out) {
+  out.clear();
+  if (strata.item_count() == 0) return;
 
   // Line 7: decide each sub-stream's reservoir size N_i. The infos also
   // carry the resolved W^in_i so the merge loop below does not re-query
@@ -90,7 +93,6 @@ SampledBundle WHSampler::sample_strata(const StratifiedBatch& strata,
     }
     out.sample.append_stratum(s.id, reservoir_.contents());
   }
-  return out;
 }
 
 }  // namespace approxiot::core

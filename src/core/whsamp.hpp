@@ -42,19 +42,20 @@ class WHSampler {
   explicit WHSampler(Rng rng = Rng{}, WHSampConfig config = {});
 
   /// One invocation of Algorithm 1 on a (W^in, items) pair. `sample_size`
-  /// is the node's per-call reservoir budget N. Returns (W^out, sample);
-  /// W^out carries entries only for sub-streams present in `items`.
-  /// Stratifies into an internal scratch batch, then runs the span path.
-  [[nodiscard]] SampledBundle sample(const std::vector<Item>& items,
-                                     std::size_t sample_size,
-                                     const WeightMap& w_in);
+  /// is the node's per-call reservoir budget N. Overwrites `out` with
+  /// (W^out, sample), reusing its buffers; W^out carries entries only for
+  /// sub-streams present in `items`. Stratifies into an internal scratch
+  /// batch, then runs the span path.
+  void sample(const std::vector<Item>& items, std::size_t sample_size,
+              const WeightMap& w_in, SampledBundle& out);
 
   /// Span-based hot path: samples pre-stratified input directly from the
-  /// batch arena — no per-stratum item copies. Callers that already hold
-  /// a StratifiedBatch (the node layer) use this entry point.
-  [[nodiscard]] SampledBundle sample_strata(const StratifiedBatch& strata,
-                                            std::size_t sample_size,
-                                            const WeightMap& w_in);
+  /// batch arena — no per-stratum item copies — into `out`, whose arena,
+  /// directory and weight table are reused (nothing of its old contents
+  /// survives). Callers that already hold a StratifiedBatch (the node
+  /// layer) use this entry point.
+  void sample_strata(const StratifiedBatch& strata, std::size_t sample_size,
+                     const WeightMap& w_in, SampledBundle& out);
 
   [[nodiscard]] const WHSampConfig& config() const noexcept { return config_; }
 

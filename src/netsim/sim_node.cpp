@@ -61,7 +61,10 @@ void SimNode::on_tick() {
   if (!psi_.empty()) {
     std::vector<core::ItemBundle> psi;
     psi.swap(psi_);
-    auto outputs = stage_->process_interval(psi);
+    // Outputs are moved into delivery events below, so a fresh vector
+    // per tick: nothing is left to reuse.
+    std::vector<core::SampledBundle> outputs;
+    stage_->process_interval(psi, outputs);
     for (core::SampledBundle& out : outputs) {
       if (out.item_count() == 0) continue;
       items_forwarded_ += out.item_count();

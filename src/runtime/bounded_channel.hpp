@@ -20,6 +20,7 @@
 #include <mutex>
 #include <optional>
 #include <utility>
+#include <vector>
 
 #include "obs/hooks.hpp"
 
@@ -36,14 +37,24 @@ struct ChannelStats {
 };
 
 /// Readiness notification for event-driven endpoints. Waiters are plain
-/// callbacks, not condition variables: the channel invokes them OUTSIDE
-/// its lock after the state change that might unblock the other side
-/// (readable: a successful push, or close; writable: a pop that freed a
-/// slot, or close). Invocations are edge-triggered hints, never proofs —
-/// a racing consumer may empty the channel between the push and the
-/// waiter firing — so receivers must re-check with try_pop()/try_push()
-/// and treat a fruitless wake as spurious. A kDropNewest push that sheds
-/// its value raises no readable event (nothing became poppable).
+/// callbacks, not condition variables, and fire only for an endpoint that
+/// is PARKED — one that found the channel unusable and went to sleep:
+///   - the consumer parks when try_pop() finds the channel empty (a new
+///     channel counts its consumer as parked, so the first push wakes
+///     it); the next successful push fires the readable waiter once and
+///     unparks it;
+///   - the producer parks when try_push_from() finds the channel full;
+///     the next pop fires the writable waiter once and unparks it;
+///   - close() fires both waiters, parked or not.
+/// A push or pop while the other side is active fires nothing: an
+/// endpoint that never parked re-checks the channel on its own. The
+/// parked flags change under the channel's lock and the waiters run
+/// OUTSIDE it, after the state change. Invocations are still hints, never
+/// proofs — a racing consumer may empty the channel between the push and
+/// the waiter firing — so receivers must re-check with try_pop()/
+/// try_push_from() and treat a fruitless wake as spurious (which re-parks
+/// them). A kDropNewest push that sheds its value raises no readable
+/// event (nothing became poppable).
 using ChannelWaiter = std::function<void()>;
 
 /// What a producer does when the channel is full.
@@ -120,30 +131,24 @@ class BoundedChannel {
                      [this] { return closed_ || queue_.size() < capacity_; });
       if (closed_) return false;
     }
-    queue_.push_back(std::move(value));
-    ++pushed_;
-    AIOT_OBS(if (stats_.depth != nullptr) {
-      stats_.depth->set(static_cast<double>(queue_.size()));
-    });
+    producer_parked_ = false;
+    const bool wake = enqueue(std::move(value));
     lock.unlock();
     not_empty_.notify_one();
-    if (readable_waiter_) readable_waiter_();
+    if (wake) readable_waiter_();
     return true;
   }
 
   /// Non-blocking push: false if full (not counted as a drop) or closed.
   bool try_push(T value) {
+    bool wake = false;
     {
       std::lock_guard<std::mutex> lock(mutex_);
       if (closed_ || queue_.size() >= capacity_) return false;
-      queue_.push_back(std::move(value));
-      ++pushed_;
-      AIOT_OBS(if (stats_.depth != nullptr) {
-        stats_.depth->set(static_cast<double>(queue_.size()));
-      });
+      wake = enqueue(std::move(value));
     }
     not_empty_.notify_one();
-    if (readable_waiter_) readable_waiter_();
+    if (wake) readable_waiter_();
     return true;
   }
 
@@ -152,19 +157,23 @@ class BoundedChannel {
   /// message after a writable wake (try_push would have consumed the
   /// moved-in value on failure). On success the value is moved from and
   /// true is returned. A closed channel returns false with the value
-  /// untouched — callers distinguish full from closed via closed().
+  /// untouched — callers distinguish full from closed via closed(). A
+  /// failure on a full channel parks the producer: the next pop fires the
+  /// writable waiter.
   bool try_push_from(T& value) {
+    bool wake = false;
     {
       std::lock_guard<std::mutex> lock(mutex_);
-      if (closed_ || queue_.size() >= capacity_) return false;
-      queue_.push_back(std::move(value));
-      ++pushed_;
-      AIOT_OBS(if (stats_.depth != nullptr) {
-        stats_.depth->set(static_cast<double>(queue_.size()));
-      });
+      if (closed_) return false;
+      if (queue_.size() >= capacity_) {
+        producer_parked_ = true;
+        return false;
+      }
+      producer_parked_ = false;
+      wake = enqueue(std::move(value));
     }
     not_empty_.notify_one();
-    if (readable_waiter_) readable_waiter_();
+    if (wake) readable_waiter_();
     return true;
   }
 
@@ -174,33 +183,47 @@ class BoundedChannel {
     std::unique_lock<std::mutex> lock(mutex_);
     not_empty_.wait(lock, [this] { return closed_ || !queue_.empty(); });
     if (queue_.empty()) return std::nullopt;
+    consumer_parked_ = false;
     T value = std::move(queue_.front());
-    queue_.pop_front();
-    ++popped_;
-    AIOT_OBS(if (stats_.depth != nullptr) {
-      stats_.depth->set(static_cast<double>(queue_.size()));
-    });
+    const bool wake = dequeue();
     lock.unlock();
     not_full_.notify_one();
-    if (writable_waiter_) writable_waiter_();
+    if (wake) writable_waiter_();
     return value;
   }
 
-  /// Non-blocking pop: nullopt when nothing is ready right now.
-  std::optional<T> try_pop() {
-    std::optional<T> value;
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (queue_.empty()) return std::nullopt;
-      value.emplace(std::move(queue_.front()));
-      queue_.pop_front();
-      ++popped_;
-      AIOT_OBS(if (stats_.depth != nullptr) {
-        stats_.depth->set(static_cast<double>(queue_.size()));
-      });
+  /// Non-blocking pop: nullopt when nothing is ready right now, which
+  /// parks the consumer (the next push fires the readable waiter).
+  std::optional<T> try_pop() { return pop_now(/*park=*/true); }
+
+  /// try_pop() for a consumer that only looks ahead: an empty channel
+  /// returns nullopt WITHOUT parking the consumer, so no wake is owed.
+  /// Lets a consumer that waits on several channels choose the one it
+  /// sleeps on.
+  std::optional<T> poll() { return pop_now(/*park=*/false); }
+
+  /// Hands a spent value back to the producer side for reuse, so values
+  /// that own buffers (the runtime's interval messages) cycle between the
+  /// two endpoints instead of being freed and reallocated. At most
+  /// capacity() spares are kept; a surplus value is destroyed, outside the
+  /// lock. Fires no waiter.
+  void recycle(T value) {
+    std::unique_lock<std::mutex> lock(mutex_);
+    if (spares_.size() >= capacity_) {
+      lock.unlock();
+      return;  // `value` is destroyed here
     }
-    not_full_.notify_one();
-    if (writable_waiter_) writable_waiter_();
+    if (spares_.capacity() == 0) spares_.reserve(capacity_);
+    spares_.push_back(std::move(value));
+  }
+
+  /// A value previously handed to recycle(), or nullopt when none is
+  /// spare. The producer overwrites it and pushes it again.
+  std::optional<T> take_spare() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (spares_.empty()) return std::nullopt;
+    std::optional<T> value(std::move(spares_.back()));
+    spares_.pop_back();
     return value;
   }
 
@@ -258,6 +281,50 @@ class BoundedChannel {
   }
 
  private:
+  std::optional<T> pop_now(bool park) {
+    std::optional<T> value;
+    bool wake = false;
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      if (queue_.empty()) {
+        if (park) consumer_parked_ = true;
+        return std::nullopt;
+      }
+      consumer_parked_ = false;
+      value.emplace(std::move(queue_.front()));
+      wake = dequeue();
+    }
+    not_full_.notify_one();
+    if (wake) writable_waiter_();
+    return value;
+  }
+
+  /// Appends under the lock; true when the readable waiter must fire (the
+  /// consumer was parked — it is unparked here, so it fires once).
+  bool enqueue(T&& value) {
+    queue_.push_back(std::move(value));
+    ++pushed_;
+    AIOT_OBS(if (stats_.depth != nullptr) {
+      stats_.depth->set(static_cast<double>(queue_.size()));
+    });
+    const bool wake = consumer_parked_ && readable_waiter_;
+    if (wake) consumer_parked_ = false;
+    return wake;
+  }
+
+  /// Drops the (moved-from) front under the lock; true when the writable
+  /// waiter must fire (the producer was parked on a full channel).
+  bool dequeue() {
+    queue_.pop_front();
+    ++popped_;
+    AIOT_OBS(if (stats_.depth != nullptr) {
+      stats_.depth->set(static_cast<double>(queue_.size()));
+    });
+    const bool wake = producer_parked_ && writable_waiter_;
+    if (wake) producer_parked_ = false;
+    return wake;
+  }
+
   const std::size_t capacity_;
   const BackpressurePolicy policy_;
   ChannelStats stats_;
@@ -268,7 +335,13 @@ class BoundedChannel {
   std::condition_variable not_full_;
   std::condition_variable not_empty_;
   std::deque<T> queue_;
+  /// Spent values handed back by the consumer (recycle/take_spare).
+  std::vector<T> spares_;
   bool closed_{false};
+  /// Parked endpoints (see ChannelWaiter). A new channel's consumer has
+  /// not seen any value yet, so it counts as parked.
+  bool consumer_parked_{true};
+  bool producer_parked_{false};
   std::uint64_t pushed_{0};
   std::uint64_t popped_{0};
   std::uint64_t dropped_{0};

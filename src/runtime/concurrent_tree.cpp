@@ -18,6 +18,28 @@ std::int64_t now_us() {
       .count();
 }
 
+/// Loads one leaf's raw source items into a recycled message bundle,
+/// reusing its arena: the bundle's buffers are lent out, refilled as the
+/// (W^in = {}, items) pair a source contributes, and taken back.
+void load_source(core::SampledBundle& bundle, const std::vector<Item>& items) {
+  core::ItemBundle staging;
+  bundle.swap_buffers(staging);
+  staging.items.assign(items.begin(), items.end());
+  staging.w_in.clear();
+  staging.policy_epoch = 0;
+  bundle.swap_buffers(staging);
+}
+
+/// A spent message from `channel`'s spares, or a new one.
+IntervalMessage reuse_message(BoundedChannel<IntervalMessage>& channel,
+                              std::int64_t interval) {
+  std::optional<IntervalMessage> spare = channel.take_spare();
+  IntervalMessage msg = spare.has_value() ? std::move(*spare)
+                                          : IntervalMessage{};
+  msg.interval = interval;
+  return msg;
+}
+
 }  // namespace
 
 ConcurrentEdgeTree::ConcurrentEdgeTree(ConcurrentTreeConfig config,
@@ -169,7 +191,7 @@ void ConcurrentEdgeTree::start_event_runtime() {
     for (std::size_t i = 0; i < nodes_[layer].size(); ++i) {
       NodeRuntime& node = nodes_[layer][i];
       node.event = std::make_unique<EventState>();
-      node.event->held.resize(node.inputs.size());
+      node.event->inbox.resize(node.inputs.size());
       node.event->finished.assign(node.inputs.size(), false);
       core::PipelineStage* stage = node.stage.get();
       node.event->task = scheduler_->add_task(
@@ -313,13 +335,14 @@ void ConcurrentEdgeTree::push_interval(
 
   // Pushes happen outside the state lock: under kBlock a saturated leaf
   // parks the producer right here — that is the backpressure surface.
+  // Each leaf message is one the leaf already consumed and recycled.
   for (std::size_t i = 0; i < items_per_leaf.size(); ++i) {
-    IntervalMessage msg;
-    msg.interval = seq;
-    if (!items_per_leaf[i].empty()) {
-      core::ItemBundle bundle;
-      bundle.items = items_per_leaf[i];
-      msg.bundles.push_back(std::move(bundle));
+    IntervalMessage msg = reuse_message(*leaf_inputs_[i], seq);
+    if (items_per_leaf[i].empty()) {
+      msg.bundles.clear();
+    } else {
+      msg.bundles.resize(1);
+      load_source(msg.bundles[0], items_per_leaf[i]);
     }
     leaf_inputs_[i]->push(std::move(msg));
   }
@@ -736,10 +759,66 @@ void ConcurrentEdgeTree::restore(const core::Checkpoint& checkpoint) {
   reader.expect_exhausted();
 }
 
+void ConcurrentEdgeTree::file_message(
+    NodeRuntime& node, std::size_t c, IntervalMessage&& msg,
+    std::int64_t interval,
+    std::vector<std::optional<IntervalMessage>>& inbox) {
+  if (msg.interval < interval) {
+    node.inputs[c]->recycle(std::move(msg));
+    return;
+  }
+  inbox[c] = std::move(msg);
+}
+
+bool ConcurrentEdgeTree::resolve_input(NodeRuntime& node, std::size_t c,
+                                       bool park) {
+  EventState& ev = *node.event;
+  BoundedChannel<IntervalMessage>& input = *node.inputs[c];
+  while (!ev.inbox[c].has_value() && !ev.finished[c]) {
+    std::optional<IntervalMessage> msg =
+        park ? input.try_pop() : input.poll();
+    if (msg.has_value()) {
+      file_message(node, c, std::move(*msg), ev.interval, ev.inbox);
+    } else if (input.drained()) {
+      ev.finished[c] = true;
+    } else {
+      return false;
+    }
+  }
+  return true;
+}
+
+void ConcurrentEdgeTree::lend(IntervalMessage& msg,
+                              std::vector<core::ItemBundle>& psi) {
+  for (core::SampledBundle& bundle : msg.bundles) {
+    psi.emplace_back();
+    bundle.swap_buffers(psi.back());
+  }
+}
+
+void ConcurrentEdgeTree::return_lent(
+    NodeRuntime& node, std::int64_t interval,
+    std::vector<std::optional<IntervalMessage>>& inbox,
+    std::vector<core::ItemBundle>& psi) {
+  // Same walk as the lending: child order, then bundle order.
+  std::size_t j = 0;
+  for (std::size_t c = 0; c < inbox.size(); ++c) {
+    std::optional<IntervalMessage>& msg = inbox[c];
+    if (!msg.has_value() || msg->interval != interval) continue;
+    for (core::SampledBundle& bundle : msg->bundles) {
+      bundle.swap_buffers(psi[j++]);
+    }
+    node.inputs[c]->recycle(std::move(*msg));
+    msg.reset();
+  }
+  psi.clear();  // the entries hold only their own, empty buffers again
+}
+
 void ConcurrentEdgeTree::node_loop(NodeRuntime& node) {
   const std::size_t n_inputs = node.inputs.size();
-  std::vector<std::optional<IntervalMessage>> held(n_inputs);
+  std::vector<std::optional<IntervalMessage>> inbox(n_inputs);
   std::vector<bool> finished(n_inputs, false);
+  std::vector<core::ItemBundle> psi;
 
   for (std::int64_t interval = 0;; ++interval) {
     [[maybe_unused]] std::int64_t t_phase = 0;
@@ -749,33 +828,21 @@ void ConcurrentEdgeTree::node_loop(NodeRuntime& node) {
     // order. A child whose message for this interval was shed (drop
     // policy) shows up as a held message for a later interval — it then
     // contributes nothing now, exactly as if its sensors were silent.
-    std::vector<core::ItemBundle> psi;
     for (std::size_t c = 0; c < n_inputs; ++c) {
-      if (held[c].has_value()) {
-        if (held[c]->interval == interval) {
-          for (core::ItemBundle& bundle : held[c]->bundles) {
-            psi.push_back(std::move(bundle));
-          }
-          held[c].reset();
-        }
+      if (inbox[c].has_value()) {
+        if (inbox[c]->interval == interval) lend(*inbox[c], psi);
         continue;
       }
-      if (finished[c]) continue;
-      for (;;) {
+      while (!finished[c] && !inbox[c].has_value()) {
         auto msg = node.inputs[c]->pop();
         if (!msg.has_value()) {
           finished[c] = true;
           break;
         }
-        if (msg->interval < interval) continue;  // stale; cannot happen
-        if (msg->interval == interval) {
-          for (core::ItemBundle& bundle : msg->bundles) {
-            psi.push_back(std::move(bundle));
-          }
-        } else {
-          held[c] = std::move(*msg);
-        }
-        break;
+        file_message(node, c, std::move(*msg), interval, inbox);
+      }
+      if (inbox[c].has_value() && inbox[c]->interval == interval) {
+        lend(*inbox[c], psi);
       }
     }
 
@@ -787,7 +854,7 @@ void ConcurrentEdgeTree::node_loop(NodeRuntime& node) {
     bool any_held = false;
     for (std::size_t c = 0; c < n_inputs; ++c) {
       all_finished = all_finished && finished[c];
-      any_held = any_held || held[c].has_value();
+      any_held = any_held || inbox[c].has_value();
     }
     if (all_finished && !any_held && psi.empty()) break;
 
@@ -828,6 +895,7 @@ void ConcurrentEdgeTree::node_loop(NodeRuntime& node) {
     // history, snapshot periods) must advance exactly as in EdgeTree.
     std::optional<IntervalMessage> out =
         execute_node_interval(node, interval, psi);
+    return_lent(node, interval, inbox, psi);
     if (out.has_value()) node.output->push(std::move(*out));
   }
 
@@ -861,8 +929,8 @@ std::optional<IntervalMessage> ConcurrentEdgeTree::execute_node_interval(
     }
     // Forward an empty message so the parent's interval alignment — and
     // the end-of-stream cascade — survive the outage.
-    IntervalMessage out;
-    out.interval = interval;
+    IntervalMessage out = reuse_message(*node.output, interval);
+    out.bundles.clear();
     return out;
   }
   if (fault.restore_requested.exchange(false, std::memory_order_acq_rel)) {
@@ -880,8 +948,8 @@ std::optional<IntervalMessage> ConcurrentEdgeTree::execute_node_interval(
     for (const core::ItemBundle& bundle : psi) {
       arrived += bundle.items.size();
     }
-    std::vector<core::SampledBundle> outputs =
-        node.stage->process_interval(psi);
+    std::vector<core::SampledBundle>& outputs = root_outputs_;
+    node.stage->process_interval(psi, outputs);
     AIOT_OBS(
         const std::int64_t epoch =
             static_cast<std::int64_t>(node.stage->policy_epoch());
@@ -921,10 +989,11 @@ std::optional<IntervalMessage> ConcurrentEdgeTree::execute_node_interval(
     return std::nullopt;
   }
 
-  IntervalMessage out;
-  out.interval = interval;
-  std::vector<core::SampledBundle> outputs =
-      node.stage->process_interval(psi);
+  // Sample straight into a recycled message: its bundles' arenas and
+  // weight tables are reused, so a steady-state interval allocates
+  // nothing here.
+  IntervalMessage out = reuse_message(*node.output, interval);
+  node.stage->process_interval(psi, out.bundles);
   AIOT_OBS(
       if (node.exec_us != nullptr ||
           node.track != obs::ScopedSpan::kNoTrack) {
@@ -939,10 +1008,6 @@ std::optional<IntervalMessage> ConcurrentEdgeTree::execute_node_interval(
               static_cast<std::int64_t>(node.stage->policy_epoch()));
         }
       });
-  out.bundles.reserve(outputs.size());
-  for (core::SampledBundle& bundle : outputs) {
-    out.bundles.push_back(std::move(bundle).to_bundle());
-  }
   return out;
 }
 
@@ -963,49 +1028,34 @@ void ConcurrentEdgeTree::event_pump(NodeRuntime& node) {
       }
     }
 
-    // Phase 1: resolve inputs for ev.interval strictly in child order,
-    // parking at the FIRST unready one (not skipping ahead keeps Ψ — and
-    // every RNG draw — bit-identical to the thread-per-node gather).
-    // Identical per-child semantics to node_loop: a held later-interval
-    // message means the child contributes nothing this interval.
-    while (ev.gather_cursor < node.inputs.size()) {
+    // Phase 1: assemble Ψ for ev.interval strictly in child order: the
+    // cursor lends input c's bundles only once inputs 0..c-1 are lent
+    // (later inputs may be filed early but wait their turn), which keeps
+    // Ψ — and every RNG draw — bit-identical to the thread-per-node
+    // gather. Identical per-child semantics to node_loop: a held
+    // later-interval message means the child contributes nothing now.
+    const std::size_t n_inputs = node.inputs.size();
+    while (ev.gather_cursor < n_inputs) {
       const std::size_t c = ev.gather_cursor;
-      if (ev.held[c].has_value()) {
-        if (ev.held[c]->interval == ev.interval) {
-          for (core::ItemBundle& bundle : ev.held[c]->bundles) {
-            ev.psi.push_back(std::move(bundle));
+      if (!resolve_input(node, c, /*park=*/false)) {
+        // Input c is missing. Sleep on the LAST input still missing, not
+        // on c: children mostly finish in index order, so waking for
+        // each one in turn would cost a run per child, while the last
+        // one's push usually finds every input ready — one run per
+        // interval. Later inputs that are ready get filed on the way.
+        std::size_t last = c;
+        for (std::size_t j = n_inputs - 1; j > c; --j) {
+          if (!resolve_input(node, j, /*park=*/false)) {
+            last = j;
+            break;
           }
-          ev.held[c].reset();
         }
-        ++ev.gather_cursor;
-        continue;
+        if (!resolve_input(node, last, /*park=*/true)) return;
+        continue;  // `last` arrived meanwhile: look again
       }
-      if (ev.finished[c]) {
-        ++ev.gather_cursor;
-        continue;
+      if (ev.inbox[c].has_value() && ev.inbox[c]->interval == ev.interval) {
+        lend(*ev.inbox[c], ev.psi);
       }
-      bool resolved = false;
-      for (;;) {
-        auto msg = node.inputs[c]->try_pop();
-        if (!msg.has_value()) {
-          if (node.inputs[c]->drained()) {
-            ev.finished[c] = true;
-            resolved = true;
-          }
-          break;
-        }
-        if (msg->interval < ev.interval) continue;  // stale; cannot happen
-        if (msg->interval == ev.interval) {
-          for (core::ItemBundle& bundle : msg->bundles) {
-            ev.psi.push_back(std::move(bundle));
-          }
-        } else {
-          ev.held[c] = std::move(*msg);
-        }
-        resolved = true;
-        break;
-      }
-      if (!resolved) return;  // parked on input c; its next push wakes us
       ++ev.gather_cursor;
     }
 
@@ -1015,7 +1065,7 @@ void ConcurrentEdgeTree::event_pump(NodeRuntime& node) {
     bool any_held = false;
     for (std::size_t c = 0; c < node.inputs.size(); ++c) {
       all_finished = all_finished && ev.finished[c];
-      any_held = any_held || ev.held[c].has_value();
+      any_held = any_held || ev.inbox[c].has_value();
     }
     if (all_finished && !any_held && ev.psi.empty()) {
       ev.done = true;
@@ -1050,7 +1100,7 @@ void ConcurrentEdgeTree::event_pump(NodeRuntime& node) {
 
     std::optional<IntervalMessage> out =
         execute_node_interval(node, ev.interval, ev.psi);
-    ev.psi.clear();
+    return_lent(node, ev.interval, ev.inbox, ev.psi);
     ev.gather_cursor = 0;
     ++ev.interval;
 

@@ -88,9 +88,19 @@ enum class RuntimeMode {
 /// One interval's worth of Ψ contribution travelling over one tree edge.
 /// `bundles` may be empty (an interval in which the child produced
 /// nothing); the message still flows so receivers can align intervals.
+///
+/// Messages are recycled, not freed (the buffer cycle): a producer takes
+/// a spent message back from its output channel (take_spare) and its
+/// stage samples straight into `bundles`, reusing every arena and weight
+/// table; the consumer lends the bundles to its Ψ by swapping buffers
+/// (SampledBundle::swap_buffers — O(1), no item copies), runs its stage,
+/// swaps them back and recycles the message into the same channel. On a
+/// leaf edge a bundle carries the raw source items in its arena with no
+/// strata and no weights; lending turns it into the (W^in = {}, items)
+/// pair a source contributes.
 struct IntervalMessage {
   std::int64_t interval{0};
-  std::vector<core::ItemBundle> bundles;
+  std::vector<core::SampledBundle> bundles;
 };
 
 struct ConcurrentTreeConfig {
@@ -333,15 +343,18 @@ class ConcurrentEdgeTree {
     JobScheduler::TaskId task{0};
     /// Interval currently being assembled.
     std::int64_t interval{0};
-    /// Next input (child index) to resolve for `interval`. Parking at the
-    /// FIRST unready input — instead of taking whatever is ready — is
-    /// what keeps Ψ in child order, and therefore every RNG draw
-    /// bit-identical to the thread-per-node runtime.
+    /// Next input (child index) to lend to Ψ for `interval`. Lending
+    /// only at the cursor — never whatever happens to be ready — keeps Ψ
+    /// in child order, and therefore every RNG draw bit-identical to the
+    /// thread-per-node runtime.
     std::size_t gather_cursor{0};
-    /// Ψ gathered so far for `interval`, in child order.
+    /// Ψ gathered so far for `interval`, in child order. Its bundles are
+    /// on loan from the messages in `inbox`.
     std::vector<core::ItemBundle> psi;
-    /// One buffered message per child that already sent a LATER interval.
-    std::vector<std::optional<IntervalMessage>> held;
+    /// Per child, the message it sent that has not been recycled yet:
+    /// lent to `psi` when it is for `interval`, held back when it is for
+    /// a LATER interval (the child's message for this one was shed).
+    std::vector<std::optional<IntervalMessage>> inbox;
     std::vector<bool> finished;
     /// Output built but not yet accepted by a full downstream channel
     /// (kBlock only); re-offered on the next writable wake.
@@ -396,6 +409,23 @@ class ConcurrentEdgeTree {
   std::optional<IntervalMessage> execute_node_interval(
       NodeRuntime& node, std::int64_t interval,
       const std::vector<core::ItemBundle>& psi);
+  /// Files child `c`'s message in `inbox[c]`; a stale one (an earlier
+  /// interval, which cannot happen) goes straight back for reuse.
+  static void file_message(NodeRuntime& node, std::size_t c,
+                           IntervalMessage&& msg, std::int64_t interval,
+                           std::vector<std::optional<IntervalMessage>>& inbox);
+  /// Event mode: true once input `c` is resolved for the interval being
+  /// gathered — a message filed in the inbox, or end-of-stream. When `c`
+  /// has nothing yet, returns false, and with `park` the consumer sleeps
+  /// on `c` (its next push wakes the task); without, it only looked.
+  static bool resolve_input(NodeRuntime& node, std::size_t c, bool park);
+  /// Appends `msg`'s bundles to `psi` by swapping buffers (O(1) each).
+  static void lend(IntervalMessage& msg, std::vector<core::ItemBundle>& psi);
+  /// After `interval` ran: takes the lent buffers back from `psi` (which
+  /// ends empty) and recycles each lent message into its channel.
+  static void return_lent(NodeRuntime& node, std::int64_t interval,
+                          std::vector<std::optional<IntervalMessage>>& inbox,
+                          std::vector<core::ItemBundle>& psi);
   /// Builds the scheduler, registers one task per node, wires channel
   /// readiness to task wakes, and starts the workers.
   void start_event_runtime();
@@ -454,6 +484,8 @@ class ConcurrentEdgeTree {
 
   core::ThetaStore theta_;
   mutable std::mutex theta_mutex_;
+  /// The root stage's output, reused every interval (root worker only).
+  std::vector<core::SampledBundle> root_outputs_;
 
   /// Serialises whole push_interval calls: interval seqs must reach the
   /// leaf channels in assignment order or receivers would mistake a

@@ -27,9 +27,9 @@ void SamplingProcessor::punctuate(SimTime now) { flush(now); }
 
 void SamplingProcessor::flush(SimTime boundary) {
   if (psi_.empty()) return;
-  auto outputs = node_.process_interval(psi_);
+  node_.process_interval(psi_, outputs_);
   psi_.clear();
-  for (const core::SampledBundle& out : outputs) {
+  for (const core::SampledBundle& out : outputs_) {
     if (out.item_count() == 0) continue;
     flowqueue::Record record;
     record.key = context_->node_name();
@@ -55,9 +55,10 @@ void SrsProcessor::process(const flowqueue::Record& record) {
         << "dropping undecodable record: " << bundle.status().to_string();
     return;
   }
-  std::vector<core::ItemBundle> psi;
-  psi.push_back(std::move(bundle).value());
-  for (const core::SampledBundle& out : node_.process_interval(psi)) {
+  psi_.clear();
+  psi_.push_back(std::move(bundle).value());
+  node_.process_interval(psi_, outputs_);
+  for (const core::SampledBundle& out : outputs_) {
     if (out.item_count() == 0) continue;
     flowqueue::Record forwarded;
     forwarded.key = record.key;

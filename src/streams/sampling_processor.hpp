@@ -67,6 +67,8 @@ class SamplingProcessor final : public Processor {
   core::SamplingNode node_;
   ProcessorContext* context_{nullptr};
   std::vector<core::ItemBundle> psi_;
+  /// Reused output bundles (process_interval overwrites them).
+  std::vector<core::SampledBundle> outputs_;
   SimTime interval_;
   std::uint64_t decode_failures_{0};
 };
@@ -88,6 +90,9 @@ class SrsProcessor final : public Processor {
  private:
   core::SrsNode node_;
   ProcessorContext* context_{nullptr};
+  /// Reused one-pair Ψ and output bundles.
+  std::vector<core::ItemBundle> psi_;
+  std::vector<core::SampledBundle> outputs_;
   std::uint64_t decode_failures_{0};
 };
 

@@ -84,7 +84,9 @@ TEST(TopKTest, RankingSurvivesSampling) {
   }
   core::WHSampler sampler(Rng(77));
   ThetaStore theta;
-  theta.add(sampler.sample(items, 900, core::WeightMap{}));
+  core::SampledBundle sampled;
+  sampler.sample(items, 900, core::WeightMap{}, sampled);
+  theta.add(sampled);
 
   auto top = execute_topk(theta, 3);
   ASSERT_EQ(top.size(), 3u);
@@ -140,7 +142,9 @@ TEST(QuantileTest, ApproximatesPopulationQuantileUnderSampling) {
   }
   core::WHSampler sampler(Rng(43));
   ThetaStore theta;
-  theta.add(sampler.sample(items, 1000, core::WeightMap{}));
+  core::SampledBundle sampled;
+  sampler.sample(items, 1000, core::WeightMap{}, sampled);
+  theta.add(sampled);
 
   for (double q : {0.1, 0.5, 0.9}) {
     auto estimate = execute_quantile(theta, q);

@@ -155,16 +155,19 @@ TEST(CheckpointTest, StageRoundTripContinuesBitIdentically) {
   auto restored = make_pipeline_stage(config);
 
   std::vector<ItemBundle> psi(1);
+  std::vector<SampledBundle> warmup;
   for (std::uint64_t interval = 0; interval < 5; ++interval) {
     psi[0].items = interval_items(1, interval)[0];
-    (void)original->process_interval(psi);
+    original->process_interval(psi, warmup);
   }
   restore_stage(*restored, checkpoint_stage(*original));
 
   for (std::uint64_t interval = 5; interval < 10; ++interval) {
     psi[0].items = interval_items(1, interval)[0];
-    const auto out_a = original->process_interval(psi);
-    const auto out_b = restored->process_interval(psi);
+    std::vector<SampledBundle> out_a;
+    original->process_interval(psi, out_a);
+    std::vector<SampledBundle> out_b;
+    restored->process_interval(psi, out_b);
     ASSERT_EQ(out_a.size(), out_b.size());
     for (std::size_t i = 0; i < out_a.size(); ++i) {
       ASSERT_EQ(out_a[i].sample.items().size(), out_b[i].sample.items().size());

@@ -136,13 +136,15 @@ TEST(PolicyStampTest, SamplingNodeStampsResolvedEpoch) {
       plane, PolicyScope{PolicyScope::Rule::kEndToEnd, 1});
   SamplingNode node(config);
 
-  auto out0 = node.process_interval(one_bundle(100));
+  std::vector<SampledBundle> out0;
+  node.process_interval(one_bundle(100), out0);
   ASSERT_FALSE(out0.empty());
   EXPECT_EQ(node.policy_epoch(), 0u);
   EXPECT_EQ(out0.front().policy_epoch, 0u);
 
   plane->publish_fraction(0.25);
-  auto out1 = node.process_interval(one_bundle(100));
+  std::vector<SampledBundle> out1;
+  node.process_interval(one_bundle(100), out1);
   ASSERT_FALSE(out1.empty());
   EXPECT_EQ(node.policy_epoch(), 1u);
   EXPECT_EQ(out1.front().policy_epoch, 1u);
@@ -177,16 +179,18 @@ TEST(PolicyStampTest, SrsAndSnapshotNodesStampAndApply) {
   snap_config.policy = handle;
   SnapshotNode snap(snap_config);
 
-  (void)srs.process_interval(one_bundle(10));
-  (void)snap.process_interval(one_bundle(10));
+  std::vector<SampledBundle> srs_out;
+  std::vector<SampledBundle> snap_out;
+  srs.process_interval(one_bundle(10), srs_out);
+  snap.process_interval(one_bundle(10), snap_out);
   EXPECT_EQ(srs.policy_epoch(), 0u);
   EXPECT_EQ(snap.policy_epoch(), 0u);
   EXPECT_DOUBLE_EQ(srs.probability(), 1.0);
   EXPECT_EQ(snap.period(), 1u);
 
   plane->publish_fraction(0.5);
-  auto srs_out = srs.process_interval(one_bundle(10));
-  (void)snap.process_interval(one_bundle(10));
+  srs.process_interval(one_bundle(10), srs_out);
+  snap.process_interval(one_bundle(10), snap_out);
   EXPECT_EQ(srs.policy_epoch(), 1u);
   EXPECT_EQ(snap.policy_epoch(), 1u);
   EXPECT_DOUBLE_EQ(srs.probability(), 0.5);

@@ -114,7 +114,9 @@ TEST_P(CoveragePropertyTest, SumIntervalCoversTruth) {
   for (int t = 0; t < trials; ++t) {
     WHSampler sampler(Rng(1000 + static_cast<std::uint64_t>(t)));
     ThetaStore theta;
-    theta.add(sampler.sample(items, reservoir, WeightMap{}));
+    SampledBundle sampled;
+    sampler.sample(items, reservoir, WeightMap{}, sampled);
+    theta.add(sampled);
     const ApproxResult result =
         approximate_query(theta, stats::kConfidence95);
     if (result.sum.covers(true_sum)) ++covered;

@@ -67,8 +67,10 @@ TEST(SamplingExecutorTest, OneWorkerLaneBitIdenticalToWHSampler) {
     WeightMap w_in;
     w_in.set(SubStreamId{1}, 1.0 + workload.next_double());
 
-    const SampledBundle expected = reference.sample(items, budget, w_in);
-    const SampledBundle got = lane->sample(items, budget, w_in);
+    SampledBundle expected;
+    reference.sample(items, budget, w_in, expected);
+    SampledBundle got;
+    lane->sample(items, budget, w_in, got);
     expect_bundles_identical(expected, got);
   }
 }
@@ -80,8 +82,11 @@ TEST(SamplingExecutorTest, SequentialExecutorLaneIsWHSampler) {
 
   Rng workload(3);
   const auto items = random_items(workload, 500, 3);
-  expect_bundles_identical(reference.sample(items, 40, WeightMap{}),
-                           lane->sample(items, 40, WeightMap{}));
+  SampledBundle expected;
+  SampledBundle got;
+  reference.sample(items, 40, WeightMap{}, expected);
+  lane->sample(items, 40, WeightMap{}, got);
+  expect_bundles_identical(expected, got);
 }
 
 TEST(SamplingExecutorTest, InlineAndPooledDispatchProduceIdenticalOutput) {
@@ -105,11 +110,14 @@ TEST(SamplingExecutorTest, InlineAndPooledDispatchProduceIdenticalOutput) {
   EXPECT_EQ(pooled_lane->workers(), 3u);
 
   Rng workload(11);
+  SampledBundle inline_out;
+  SampledBundle pooled_out;
   for (int interval = 0; interval < 20; ++interval) {
     const auto items = random_items(workload, 2000, 5);
     const std::size_t budget = workload.next_below(200);
-    expect_bundles_identical(inline_lane->sample(items, budget, WeightMap{}),
-                             pooled_lane->sample(items, budget, WeightMap{}));
+    inline_lane->sample(items, budget, WeightMap{}, inline_out);
+    pooled_lane->sample(items, budget, WeightMap{}, pooled_out);
+    expect_bundles_identical(inline_out, pooled_out);
   }
 }
 
@@ -132,7 +140,8 @@ TEST(SamplingExecutorTest, MultiWorkerInvariantExactOver100Intervals) {
     w_in.set(SubStreamId{2}, 1.0 + workload.next_double());
 
     const std::size_t budget = 20 + workload.next_below(400);
-    const SampledBundle out = lane->sample(items, budget, w_in);
+    SampledBundle out;
+    lane->sample(items, budget, w_in, out);
 
     ASSERT_EQ(out.sample.size(), counts.size());
     for (const auto& [id, kept] : out.sample) {
@@ -162,7 +171,8 @@ TEST(SamplingExecutorTest, InterleavedSubStreamsShardEvenly) {
     items.push_back(Item{SubStreamId{1}, 1.0, 0});
     items.push_back(Item{SubStreamId{2}, 2.0, 0});
   }
-  const SampledBundle out = lane->sample(items, 100, WeightMap{});
+  SampledBundle out;
+  lane->sample(items, 100, WeightMap{}, out);
   for (std::uint64_t s = 1; s <= 2; ++s) {
     EXPECT_EQ(out.sample.at(SubStreamId{s}).size(), 50u) << "stream " << s;
     EXPECT_DOUBLE_EQ(out.w_out.get(SubStreamId{s}), 10.0) << "stream " << s;
@@ -181,7 +191,8 @@ TEST(SamplingExecutorTest, LaneClampsShardsToCapacity) {
   const std::vector<Item> items = {Item{SubStreamId{1}, 1.0, 0},
                                    Item{SubStreamId{1}, 2.0, 0},
                                    Item{SubStreamId{1}, 3.0, 0}};
-  const SampledBundle out = lane->sample(items, 2, WeightMap{});
+  SampledBundle out;
+  lane->sample(items, 2, WeightMap{}, out);
   EXPECT_EQ(out.sample.at(SubStreamId{1}).size(), 2u);
   EXPECT_DOUBLE_EQ(out.w_out.get(SubStreamId{1}), 1.5);
 }
@@ -216,7 +227,8 @@ TEST(SamplingExecutorTest, EmptyInputYieldsEmptyBundle) {
   options.workers_per_lane = 2;
   PooledSamplingExecutor executor(options);
   auto lane = executor.create_lane(Rng(1), WHSampConfig{});
-  const SampledBundle out = lane->sample({}, 10, WeightMap{});
+  SampledBundle out;
+  lane->sample({}, 10, WeightMap{}, out);
   EXPECT_TRUE(out.sample.empty());
   EXPECT_TRUE(out.w_out.empty());
 }

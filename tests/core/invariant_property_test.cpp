@@ -53,7 +53,9 @@ TEST_P(CountInvariantTest, CountEstimateExactThroughChain) {
   std::vector<ItemBundle> psi = {input};
   for (auto& node : chain) {
     std::vector<ItemBundle> next;
-    for (SampledBundle& out : node.process_interval(psi)) {
+    std::vector<SampledBundle> outputs;
+    node.process_interval(psi, outputs);
+    for (SampledBundle& out : outputs) {
       next.push_back(out.to_bundle());
     }
     psi = std::move(next);
@@ -97,10 +99,12 @@ TEST(CountInvariantTest, AllOnesSumIsExact) {
   ItemBundle input;
   input.items = n_items(SubStreamId{1}, 500, 1.0);
 
-  auto mid = a.process_interval({input});
+  std::vector<SampledBundle> mid;
+  a.process_interval({input}, mid);
   std::vector<ItemBundle> psi;
   for (auto& m : mid) psi.push_back(m.to_bundle());
-  auto out = b.process_interval(psi);
+  std::vector<SampledBundle> out;
+  b.process_interval(psi, out);
 
   ThetaStore theta;
   for (auto& o : out) theta.add(o);
@@ -116,7 +120,8 @@ TEST(CountInvariantTest, SplitAcrossIntervalsStillExact) {
 
   ItemBundle input;
   input.items = n_items(SubStreamId{1}, 100);
-  auto sampled = upstream.process_interval({input});
+  std::vector<SampledBundle> sampled;
+  upstream.process_interval({input}, sampled);
   ASSERT_EQ(sampled.size(), 1u);
   ItemBundle forwarded = sampled[0].to_bundle();
   ASSERT_EQ(forwarded.items.size(), 8u);
@@ -129,8 +134,11 @@ TEST(CountInvariantTest, SplitAcrossIntervalsStillExact) {
   chunk2.items.assign(forwarded.items.begin() + 5, forwarded.items.end());
 
   ThetaStore theta;
-  for (auto& o : downstream.process_interval({chunk1})) theta.add(o);
-  for (auto& o : downstream.process_interval({chunk2})) theta.add(o);
+  std::vector<SampledBundle> out;
+  downstream.process_interval({chunk1}, out);
+  for (auto& o : out) theta.add(o);
+  downstream.process_interval({chunk2}, out);
+  for (auto& o : out) theta.add(o);
 
   EXPECT_NEAR(theta.estimated_original_count(SubStreamId{1}), 100.0, 1e-9);
 }
@@ -159,7 +167,9 @@ TEST(CountInvariantTest, RandomizedChains) {
     std::vector<ItemBundle> psi = {input};
     for (auto& node : chain) {
       std::vector<ItemBundle> next;
-      for (SampledBundle& out : node.process_interval(psi)) {
+      std::vector<SampledBundle> outputs;
+      node.process_interval(psi, outputs);
+      for (SampledBundle& out : outputs) {
         next.push_back(out.to_bundle());
       }
       psi = std::move(next);

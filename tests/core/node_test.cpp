@@ -22,7 +22,8 @@ TEST(SamplingNodeTest, ProcessesOnePairPerBundle) {
   SamplingNode node(fixed_config(5));
   ItemBundle bundle;
   bundle.items = n_items(SubStreamId{1}, 20);
-  auto outputs = node.process_interval({bundle});
+  std::vector<SampledBundle> outputs;
+  node.process_interval({bundle}, outputs);
   ASSERT_EQ(outputs.size(), 1u);
   EXPECT_EQ(outputs[0].sample.at(SubStreamId{1}).size(), 5u);
   EXPECT_DOUBLE_EQ(outputs[0].w_out.get(SubStreamId{1}), 4.0);
@@ -32,7 +33,8 @@ TEST(SamplingNodeTest, MetricsTrackVolumes) {
   SamplingNode node(fixed_config(5));
   ItemBundle bundle;
   bundle.items = n_items(SubStreamId{1}, 20);
-  (void)node.process_interval({bundle});
+  std::vector<SampledBundle> out;
+  node.process_interval({bundle}, out);
   EXPECT_EQ(node.metrics().items_in, 20u);
   EXPECT_EQ(node.metrics().items_out, 5u);
   EXPECT_EQ(node.metrics().intervals, 1u);
@@ -41,7 +43,8 @@ TEST(SamplingNodeTest, MetricsTrackVolumes) {
 
 TEST(SamplingNodeTest, EmptyIntervalStillCounts) {
   SamplingNode node(fixed_config(5));
-  auto outputs = node.process_interval({});
+  std::vector<SampledBundle> outputs;
+  node.process_interval({}, outputs);
   EXPECT_TRUE(outputs.empty());
   EXPECT_EQ(node.metrics().intervals, 1u);
 }
@@ -56,7 +59,8 @@ TEST(SamplingNodeTest, WeightCarriesAcrossIntervals) {
   ItemBundle with_weight;
   with_weight.w_in.set(SubStreamId{1}, 1.5);
   with_weight.items = n_items(SubStreamId{1}, 2);
-  auto out_v = node.process_interval({with_weight});
+  std::vector<SampledBundle> out_v;
+  node.process_interval({with_weight}, out_v);
   ASSERT_EQ(out_v.size(), 1u);
   EXPECT_DOUBLE_EQ(out_v[0].w_out.get(SubStreamId{1}), 3.0);
 
@@ -64,7 +68,8 @@ TEST(SamplingNodeTest, WeightCarriesAcrossIntervals) {
   // the remembered 1.5 -> again W_out = 3.
   ItemBundle weightless;
   weightless.items = n_items(SubStreamId{1}, 2);
-  auto out_v1 = node.process_interval({weightless});
+  std::vector<SampledBundle> out_v1;
+  node.process_interval({weightless}, out_v1);
   ASSERT_EQ(out_v1.size(), 1u);
   EXPECT_DOUBLE_EQ(out_v1[0].w_out.get(SubStreamId{1}), 3.0);
   EXPECT_DOUBLE_EQ(node.remembered_weights().get(SubStreamId{1}), 1.5);
@@ -75,12 +80,13 @@ TEST(SamplingNodeTest, BundleWeightBeatsRememberedWeight) {
   ItemBundle first;
   first.w_in.set(SubStreamId{1}, 2.0);
   first.items = n_items(SubStreamId{1}, 1);
-  (void)node.process_interval({first});
+  std::vector<SampledBundle> out;
+  node.process_interval({first}, out);
 
   ItemBundle second;
   second.w_in.set(SubStreamId{1}, 10.0);  // fresher weight travels along
   second.items = n_items(SubStreamId{1}, 2);
-  auto out = node.process_interval({second});
+  node.process_interval({second}, out);
   EXPECT_DOUBLE_EQ(out[0].w_out.get(SubStreamId{1}), 20.0);
 }
 
@@ -89,7 +95,8 @@ TEST(SamplingNodeTest, MultiplePairsShareTheIntervalBudget) {
   ItemBundle a, b;
   a.items = n_items(SubStreamId{1}, 4);
   b.items = n_items(SubStreamId{1}, 6);
-  auto outputs = node.process_interval({a, b});
+  std::vector<SampledBundle> outputs;
+  node.process_interval({a, b}, outputs);
   ASSERT_EQ(outputs.size(), 2u);
   // Budget 5 split by pair size: 4/10 -> 2 slots, 6/10 -> 3 slots.
   EXPECT_EQ(outputs[0].sample.at(SubStreamId{1}).size(), 2u);
@@ -108,11 +115,13 @@ TEST(SamplingNodeTest, FractionCostFunctionUsesLastIntervalVolume) {
   bundle.items = n_items(SubStreamId{1}, 100);
   // First interval: no history, so the buffered Ψ seeds the estimate and
   // the fraction applies immediately: budget = 0.5 * 100.
-  auto first = node.process_interval({bundle});
+  std::vector<SampledBundle> first;
+  node.process_interval({bundle}, first);
   EXPECT_EQ(first[0].sample.at(SubStreamId{1}).size(), 50u);
   EXPECT_DOUBLE_EQ(first[0].w_out.get(SubStreamId{1}), 2.0);
   // Second interval: EWMA of the last interval gives the same budget.
-  auto second = node.process_interval({bundle});
+  std::vector<SampledBundle> second;
+  node.process_interval({bundle}, second);
   EXPECT_EQ(second[0].sample.at(SubStreamId{1}).size(), 50u);
   EXPECT_DOUBLE_EQ(second[0].w_out.get(SubStreamId{1}), 2.0);
 }
@@ -124,7 +133,8 @@ TEST(SamplingNodeTest, SetBudgetTakesEffectNextInterval) {
   node.set_budget(budget);
   ItemBundle bundle;
   bundle.items = n_items(SubStreamId{1}, 10);
-  auto out = node.process_interval({bundle});
+  std::vector<SampledBundle> out;
+  node.process_interval({bundle}, out);
   EXPECT_EQ(out[0].sample.at(SubStreamId{1}).size(), 2u);
 }
 

@@ -122,7 +122,8 @@ TEST(ParallelSamplerTest, MatchesSequentialSemantics) {
   auto more = n_items(SubStreamId{2}, 10);
   items.insert(items.end(), more.begin(), more.end());
 
-  auto out = sampler.sample(items, 20, w_in);
+  SampledBundle out;
+  sampler.sample(items, 20, w_in, out);
   // Equal allocation: 10 slots each.
   EXPECT_EQ(out.sample.at(SubStreamId{1}).size(), 10u);
   EXPECT_DOUBLE_EQ(out.w_out.get(SubStreamId{1}), 2.0 * 100.0);
@@ -134,7 +135,8 @@ TEST(ParallelSamplerTest, MatchesSequentialSemantics) {
 TEST(ParallelSamplerTest, ThreadedPathPreservesInvariant) {
   // Large stratum forces the threaded sharding path.
   ParallelSampler sampler(4, Rng(6));
-  auto out = sampler.sample(n_items(SubStreamId{1}, 50000), 100, WeightMap{});
+  SampledBundle out;
+  sampler.sample(n_items(SubStreamId{1}, 50000), 100, WeightMap{}, out);
   const double w = out.w_out.get(SubStreamId{1});
   const double kept = static_cast<double>(out.sample.at(SubStreamId{1}).size());
   EXPECT_DOUBLE_EQ(w * kept, 50000.0);
@@ -142,7 +144,8 @@ TEST(ParallelSamplerTest, ThreadedPathPreservesInvariant) {
 
 TEST(ParallelSamplerTest, CountEstimateExactViaTheta) {
   ParallelSampler sampler(3, Rng(7));
-  auto out = sampler.sample(n_items(SubStreamId{1}, 3000), 30, WeightMap{});
+  SampledBundle out;
+  sampler.sample(n_items(SubStreamId{1}, 3000), 30, WeightMap{}, out);
   ThetaStore theta;
   theta.add(out);
   EXPECT_NEAR(theta.estimated_original_count(SubStreamId{1}), 3000.0, 1e-9);
@@ -164,7 +167,9 @@ TEST(ParallelSamplerTest, SumUnbiasedOverTrials) {
       truth += v;
     }
     ThetaStore theta;
-    theta.add(sampler.sample(items, 50, WeightMap{}));
+    SampledBundle sampled;
+    sampler.sample(items, 50, WeightMap{}, sampled);
+    theta.add(sampled);
     total += estimate_total_sum(theta) / truth;
   }
   EXPECT_NEAR(total / trials, 1.0, 0.05);
@@ -172,14 +177,16 @@ TEST(ParallelSamplerTest, SumUnbiasedOverTrials) {
 
 TEST(ParallelSamplerTest, EmptyInput) {
   ParallelSampler sampler(2, Rng(8));
-  auto out = sampler.sample({}, 10, WeightMap{});
+  SampledBundle out;
+  sampler.sample({}, 10, WeightMap{}, out);
   EXPECT_TRUE(out.sample.empty());
 }
 
 TEST(ParallelSamplerTest, ZeroThreadsCoercedToOne) {
   ParallelSampler sampler(0, Rng(9));
   EXPECT_EQ(sampler.threads(), 1u);
-  auto out = sampler.sample(n_items(SubStreamId{1}, 10), 5, WeightMap{});
+  SampledBundle out;
+  sampler.sample(n_items(SubStreamId{1}, 10), 5, WeightMap{}, out);
   EXPECT_EQ(out.sample.at(SubStreamId{1}).size(), 5u);
 }
 

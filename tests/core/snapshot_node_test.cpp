@@ -29,7 +29,8 @@ TEST(SnapshotNodeTest, KeepsEveryKthIntervalEntirely) {
 
   int kept_intervals = 0;
   for (int i = 0; i < 9; ++i) {
-    auto out = node.process_interval({bundle});
+    std::vector<SampledBundle> out;
+    node.process_interval({bundle}, out);
     if (!out.empty()) {
       ++kept_intervals;
       EXPECT_EQ(out[0].sample.at(SubStreamId{1}).size(), 10u);
@@ -44,8 +45,10 @@ TEST(SnapshotNodeTest, PhaseShiftsTheKeptInterval) {
   ItemBundle bundle;
   bundle.items = n_items(SubStreamId{1}, 1);
   std::vector<bool> kept;
+  std::vector<SampledBundle> out;
   for (int i = 0; i < 8; ++i) {
-    kept.push_back(!node.process_interval({bundle}).empty());
+    node.process_interval({bundle}, out);
+    kept.push_back(!out.empty());
   }
   EXPECT_EQ(kept, (std::vector<bool>{false, false, true, false, false, false,
                                      true, false}));
@@ -58,8 +61,10 @@ TEST(SnapshotNodeTest, StationaryStreamEstimateIsUnbiased) {
   bundle.items = n_items(SubStreamId{1}, 100, 2.0);
 
   ThetaStore theta;
+  std::vector<SampledBundle> outputs;
   for (int i = 0; i < 10; ++i) {
-    for (auto& out : node.process_interval({bundle})) theta.add(out);
+    node.process_interval({bundle}, outputs);
+    for (auto& out : outputs) theta.add(out);
   }
   // 10 intervals x 100 items x 2.0 = 2000 total; 2 kept snapshots at
   // weight 5 reconstruct it exactly.
@@ -71,13 +76,15 @@ TEST(SnapshotNodeTest, DriftingStreamIsBiased) {
   // between snapshots, and the decimation misses the change entirely.
   SnapshotNode node(SnapshotNodeConfig{NodeId{1}, 5, 0});
   ThetaStore theta;
+  std::vector<SampledBundle> outputs;
   double truth = 0.0;
   for (int i = 0; i < 10; ++i) {
     ItemBundle bundle;
     const double value = static_cast<double>(i + 1);  // rising values
     bundle.items = n_items(SubStreamId{1}, 100, value);
     truth += 100.0 * value;
-    for (auto& out : node.process_interval({bundle})) theta.add(out);
+    node.process_interval({bundle}, outputs);
+    for (auto& out : outputs) theta.add(out);
   }
   // Kept intervals 0 and 5 (values 1 and 6): estimate 500*(1+6)=3500 vs
   // truth 5500 — a 36% bias.
@@ -100,7 +107,8 @@ TEST(SnapshotNodeTest, WeightsComposeWithUpstream) {
   ItemBundle bundle;
   bundle.w_in.set(SubStreamId{1}, 3.0);
   bundle.items = n_items(SubStreamId{1}, 4);
-  auto out = node.process_interval({bundle});
+  std::vector<SampledBundle> out;
+  node.process_interval({bundle}, out);
   ASSERT_EQ(out.size(), 1u);
   EXPECT_DOUBLE_EQ(out[0].w_out.get(SubStreamId{1}), 6.0);
 }

@@ -17,7 +17,8 @@ TEST(SrsNodeTest, FullProbabilityKeepsAll) {
   SrsNode node(SrsNodeConfig{NodeId{1}, 1.0, 1});
   ItemBundle bundle;
   bundle.items = n_items(SubStreamId{1}, 50);
-  auto out = node.process_interval({bundle});
+  std::vector<SampledBundle> out;
+  node.process_interval({bundle}, out);
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].sample.at(SubStreamId{1}).size(), 50u);
   EXPECT_DOUBLE_EQ(out[0].w_out.get(SubStreamId{1}), 1.0);
@@ -27,7 +28,8 @@ TEST(SrsNodeTest, KeptFractionTracksProbability) {
   SrsNode node(SrsNodeConfig{NodeId{1}, 0.25, 2});
   ItemBundle bundle;
   bundle.items = n_items(SubStreamId{1}, 40000);
-  auto out = node.process_interval({bundle});
+  std::vector<SampledBundle> out;
+  node.process_interval({bundle}, out);
   ASSERT_EQ(out.size(), 1u);
   const double kept =
       static_cast<double>(out[0].sample.at(SubStreamId{1}).size());
@@ -41,9 +43,11 @@ TEST(SrsNodeTest, WeightsComposeAcrossLayers) {
   SrsNode second(SrsNodeConfig{NodeId{2}, 0.5, 4});
   ItemBundle bundle;
   bundle.items = n_items(SubStreamId{1}, 10000);
-  auto mid = first.process_interval({bundle});
+  std::vector<SampledBundle> mid;
+  first.process_interval({bundle}, mid);
   ASSERT_FALSE(mid.empty());
-  auto out = second.process_interval({mid[0].to_bundle()});
+  std::vector<SampledBundle> out;
+  second.process_interval({mid[0].to_bundle()}, out);
   ASSERT_FALSE(out.empty());
   EXPECT_DOUBLE_EQ(out[0].w_out.get(SubStreamId{1}), 4.0);
 }
@@ -78,7 +82,8 @@ TEST(SrsNodeTest, CanMissRareSubStreamEntirely) {
     bundle.items = n_items(SubStreamId{1}, 5000);
     auto rare = n_items(SubStreamId{2}, 3, 1e9);
     bundle.items.insert(bundle.items.end(), rare.begin(), rare.end());
-    auto out = node.process_interval({bundle});
+    std::vector<SampledBundle> out;
+    node.process_interval({bundle}, out);
     bool seen = false;
     for (const auto& b : out) {
       if (b.sample.count(SubStreamId{2}) > 0 &&
@@ -96,7 +101,8 @@ TEST(SrsNodeTest, MetricsCount) {
   SrsNode node(SrsNodeConfig{NodeId{1}, 0.5, 6});
   ItemBundle bundle;
   bundle.items = n_items(SubStreamId{1}, 1000);
-  (void)node.process_interval({bundle});
+  std::vector<SampledBundle> out;
+  node.process_interval({bundle}, out);
   EXPECT_EQ(node.metrics().items_in, 1000u);
   EXPECT_GT(node.metrics().items_out, 0u);
   EXPECT_LT(node.metrics().items_out, 1000u);
@@ -106,7 +112,8 @@ TEST(SrsNodeTest, ZeroProbabilityDropsEverything) {
   SrsNode node(SrsNodeConfig{NodeId{1}, 0.0, 7});
   ItemBundle bundle;
   bundle.items = n_items(SubStreamId{1}, 100);
-  auto out = node.process_interval({bundle});
+  std::vector<SampledBundle> out;
+  node.process_interval({bundle}, out);
   EXPECT_TRUE(out.empty());
 }
 

@@ -61,6 +61,40 @@ TEST(ThetaStoreTest, ClearEmpties) {
   EXPECT_TRUE(theta.empty());
 }
 
+// clear() keeps storage for the next window; nothing of the old window
+// may show through it.
+TEST(ThetaStoreTest, WindowAfterClearMatchesAFreshStore) {
+  ThetaStore reused;
+  reused.add_pair(SubStreamId{1}, pair_of(2.0, {1, 2, 3}));
+  reused.add_pair(SubStreamId{2}, pair_of(5.0, {4}));
+  reused.add_pair(SubStreamId{2}, pair_of(6.0, {7, 8}));
+  reused.clear();
+  EXPECT_TRUE(reused.empty());
+  EXPECT_TRUE(reused.sub_streams().empty());
+  EXPECT_TRUE(reused.pairs(SubStreamId{2}).empty());
+  EXPECT_EQ(reused.total_sampled(), 0u);
+
+  // Next window: one sub-stream again, one new, one gone.
+  ThetaStore fresh;
+  for (ThetaStore* theta : {&reused, &fresh}) {
+    theta->add_pair(SubStreamId{2}, pair_of(3.0, {9}));
+    theta->add_pair(SubStreamId{3}, pair_of(1.0, {10, 11}));
+  }
+  EXPECT_EQ(reused.sub_streams(), fresh.sub_streams());
+  EXPECT_EQ(reused.total_sampled(), fresh.total_sampled());
+  EXPECT_TRUE(reused.pairs(SubStreamId{1}).empty());
+  ASSERT_EQ(reused.pairs(SubStreamId{2}).size(), 1u);
+  EXPECT_EQ(reused.pairs(SubStreamId{2})[0].items,
+            fresh.pairs(SubStreamId{2})[0].items);
+  EXPECT_DOUBLE_EQ(estimate_total_sum(reused), estimate_total_sum(fresh));
+
+  // A sub-stream idle for a whole window is forgotten at the next clear.
+  reused.clear();
+  reused.clear();
+  EXPECT_TRUE(reused.sub_streams().empty());
+  EXPECT_TRUE(reused.empty());
+}
+
 // --- Estimators: the worked example of Fig. 3 --------------------------
 // Θ at root C holds (3, {item 5}) and (3, {item 3}) where the item's
 // index is its value; the paper computes SUM = 3*5 + 3*3 = 24.

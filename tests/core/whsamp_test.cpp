@@ -38,7 +38,8 @@ TEST(StratifyTest, EmptyInput) {
 TEST(WHSamplerTest, UnderfullStreamKeepsWeightAndItems) {
   WHSampler sampler;
   WeightMap w_in;
-  auto out = sampler.sample(items_of(SubStreamId{1}, {5, 6, 7}), 10, w_in);
+  SampledBundle out;
+  sampler.sample(items_of(SubStreamId{1}, {5, 6, 7}), 10, w_in, out);
   EXPECT_DOUBLE_EQ(out.w_out.get(SubStreamId{1}), 1.0);
   EXPECT_EQ(out.sample.at(SubStreamId{1}).size(), 3u);
 }
@@ -48,7 +49,8 @@ TEST(WHSamplerTest, OverflowUpdatesWeightPerEquationOne) {
   WHSampler sampler;
   WeightMap w_in;
   w_in.set(SubStreamId{1}, 3.0);
-  auto out = sampler.sample(items_of(SubStreamId{1}, {1, 2, 3, 4}), 3, w_in);
+  SampledBundle out;
+  sampler.sample(items_of(SubStreamId{1}, {1, 2, 3, 4}), 3, w_in, out);
   EXPECT_DOUBLE_EQ(out.w_out.get(SubStreamId{1}), 3.0 * 4.0 / 3.0);
   EXPECT_EQ(out.sample.at(SubStreamId{1}).size(), 3u);
 }
@@ -64,7 +66,8 @@ TEST(WHSamplerTest, WeightInvariantHoldsPerCall) {
   auto more = n_items(SubStreamId{2}, 7);
   items.insert(items.end(), more.begin(), more.end());
 
-  auto out = sampler.sample(items, 20, w_in);
+  SampledBundle out;
+  sampler.sample(items, 20, w_in, out);
   const double lhs1 = out.w_out.get(SubStreamId{1}) *
                       static_cast<double>(out.sample.at(SubStreamId{1}).size());
   EXPECT_DOUBLE_EQ(lhs1, 2.5 * 100.0);
@@ -80,7 +83,8 @@ TEST(WHSamplerTest, BudgetSplitAcrossSubStreams) {
   auto more = n_items(SubStreamId{2}, 1000);
   items.insert(items.end(), more.begin(), more.end());
 
-  auto out = sampler.sample(items, 10, w_in);
+  SampledBundle out;
+  sampler.sample(items, 10, w_in, out);
   // Equal allocation: 5 + 5.
   EXPECT_EQ(out.sample.at(SubStreamId{1}).size(), 5u);
   EXPECT_EQ(out.sample.at(SubStreamId{2}).size(), 5u);
@@ -97,13 +101,15 @@ TEST(WHSamplerTest, RareSubStreamNotStarved) {
   auto rare = n_items(SubStreamId{2}, 10, 42.0);
   items.insert(items.end(), rare.begin(), rare.end());
 
-  auto out = sampler.sample(items, 100, w_in);
+  SampledBundle out;
+  sampler.sample(items, 100, w_in, out);
   EXPECT_FALSE(out.sample.at(SubStreamId{2}).empty());
 }
 
 TEST(WHSamplerTest, EmptyItemsGiveEmptyOutput) {
   WHSampler sampler;
-  auto out = sampler.sample({}, 10, WeightMap{});
+  SampledBundle out;
+  sampler.sample({}, 10, WeightMap{}, out);
   EXPECT_TRUE(out.sample.empty());
   EXPECT_TRUE(out.w_out.empty());
   EXPECT_EQ(out.item_count(), 0u);
@@ -111,7 +117,8 @@ TEST(WHSamplerTest, EmptyItemsGiveEmptyOutput) {
 
 TEST(WHSamplerTest, ZeroBudgetKeepsNothingButReportsStreams) {
   WHSampler sampler(Rng(31));
-  auto out = sampler.sample(n_items(SubStreamId{1}, 10), 0, WeightMap{});
+  SampledBundle out;
+  sampler.sample(n_items(SubStreamId{1}, 10), 0, WeightMap{}, out);
   EXPECT_TRUE(out.sample.at(SubStreamId{1}).empty());
   // Weight entry still recorded for observability.
   EXPECT_TRUE(out.w_out.contains(SubStreamId{1}));
@@ -119,9 +126,9 @@ TEST(WHSamplerTest, ZeroBudgetKeepsNothingButReportsStreams) {
 
 TEST(WHSamplerTest, SampledItemsComeFromInput) {
   WHSampler sampler(Rng(37));
-  auto out =
-      sampler.sample(items_of(SubStreamId{1}, {10, 20, 30, 40, 50}), 2,
-                     WeightMap{});
+  SampledBundle out;
+  sampler.sample(items_of(SubStreamId{1}, {10, 20, 30, 40, 50}), 2,
+                 WeightMap{}, out);
   for (const Item& item : out.sample.at(SubStreamId{1})) {
     EXPECT_TRUE(item.value == 10 || item.value == 20 || item.value == 30 ||
                 item.value == 40 || item.value == 50);
@@ -132,7 +139,8 @@ TEST(WHSamplerTest, AlgorithmLVariantMatchesInvariant) {
   WHSampConfig config;
   config.reservoir_algorithm = sampling::ReservoirAlgorithm::kAlgorithmL;
   WHSampler sampler(Rng(41), config);
-  auto out = sampler.sample(n_items(SubStreamId{1}, 500), 50, WeightMap{});
+  SampledBundle out;
+  sampler.sample(n_items(SubStreamId{1}, 500), 50, WeightMap{}, out);
   EXPECT_EQ(out.sample.at(SubStreamId{1}).size(), 50u);
   EXPECT_DOUBLE_EQ(out.w_out.get(SubStreamId{1}), 10.0);
 }
@@ -143,7 +151,8 @@ TEST(WHSamplerTest, BundleFlattening) {
   std::vector<Item> items = n_items(SubStreamId{1}, 10);
   auto more = n_items(SubStreamId{2}, 10);
   items.insert(items.end(), more.begin(), more.end());
-  auto out = sampler.sample(items, 100, w_in);
+  SampledBundle out;
+  sampler.sample(items, 100, w_in, out);
 
   ItemBundle bundle = out.to_bundle();
   EXPECT_EQ(bundle.items.size(), 20u);
@@ -177,7 +186,8 @@ void expect_stream_chain(WHSampler& sampler,
   Rng entry;
   entry.restore_state(sampler.rng_state());
   const std::vector<Item> items = overflowing_strata(sorted_ids);
-  const SampledBundle out = sampler.sample(items, per_stratum * k, {});
+  SampledBundle out;
+  sampler.sample(items, per_stratum * k, {}, out);
   for (std::size_t j = 0; j < k; ++j) {
     const SubStreamId id{sorted_ids[j]};
     sampling::ReservoirSampler<Item> reference(
@@ -207,19 +217,24 @@ TEST(WHSamplerStreamTest, RestoreWithPrimedLookAheadContinuesBitIdentically) {
   const std::vector<Item> second = overflowing_strata({1, 3, 5, 7});
   const std::vector<Item> third = overflowing_strata({9});
 
+  SampledBundle scratch;
   WHSampler uninterrupted(Rng(5));
-  (void)uninterrupted.sample(first, 12, {});
+  uninterrupted.sample(first, 12, {}, scratch);
   const Rng::State saved = uninterrupted.rng_state();
-  const SampledBundle second_ref = uninterrupted.sample(second, 12, {});
-  const SampledBundle third_ref = uninterrupted.sample(third, 12, {});
+  SampledBundle second_ref;
+  uninterrupted.sample(second, 12, {}, second_ref);
+  SampledBundle third_ref;
+  uninterrupted.sample(third, 12, {}, third_ref);
 
   // A sampler whose look-ahead is primed from a different history: the
   // restore must discard it, not sample from it.
   WHSampler restored(Rng(6));
-  (void)restored.sample(first, 12, {});
+  restored.sample(first, 12, {}, scratch);
   restored.set_rng_state(saved);
-  const SampledBundle second_got = restored.sample(second, 12, {});
-  const SampledBundle third_got = restored.sample(third, 12, {});
+  SampledBundle second_got;
+  restored.sample(second, 12, {}, second_got);
+  SampledBundle third_got;
+  restored.sample(third, 12, {}, third_got);
 
   EXPECT_EQ(second_got.sample, second_ref.sample);
   EXPECT_EQ(second_got.w_out, second_ref.w_out);
@@ -228,9 +243,10 @@ TEST(WHSamplerStreamTest, RestoreWithPrimedLookAheadContinuesBitIdentically) {
 
   // Restoring the state a sampler already holds is a no-op too.
   WHSampler same(Rng(5));
-  (void)same.sample(first, 12, {});
+  same.sample(first, 12, {}, scratch);
   same.set_rng_state(same.rng_state());
-  EXPECT_EQ(same.sample(second, 12, {}).sample, second_ref.sample);
+  same.sample(second, 12, {}, scratch);
+  EXPECT_EQ(scratch.sample, second_ref.sample);
 }
 
 }  // namespace

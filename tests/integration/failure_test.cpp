@@ -40,7 +40,8 @@ TEST(FailureTest, ZeroBudgetNodeForwardsNothingButSurvives) {
   core::ItemBundle bundle;
   bundle.items = n_items(SubStreamId{1}, 100);
   for (int i = 0; i < 5; ++i) {
-    auto out = node.process_interval({bundle});
+    std::vector<core::SampledBundle> out;
+    node.process_interval({bundle}, out);
     for (const auto& o : out) EXPECT_EQ(o.item_count(), 0u);
   }
   EXPECT_EQ(node.metrics().items_out, 0u);
@@ -56,12 +57,13 @@ TEST(FailureTest, SubStreamVanishingMidWindow) {
   both.items = n_items(SubStreamId{1}, 50);
   auto more = n_items(SubStreamId{2}, 50);
   both.items.insert(both.items.end(), more.begin(), more.end());
-  (void)node.process_interval({both});
+  std::vector<core::SampledBundle> out;
+  node.process_interval({both}, out);
 
   // Stream 2 disappears; the node must not emit phantom entries for it.
   core::ItemBundle only_one;
   only_one.items = n_items(SubStreamId{1}, 50);
-  auto out = node.process_interval({only_one});
+  node.process_interval({only_one}, out);
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].sample.count(SubStreamId{2}), 0u);
 }
@@ -77,7 +79,8 @@ TEST(FailureTest, ExtremeWeightsStayFinite) {
   config.cost_function = "fixed";
   config.budget.fixed_sample_size = 10;
   core::SamplingNode node(config);
-  auto out = node.process_interval({bundle});
+  std::vector<core::SampledBundle> out;
+  node.process_interval({bundle}, out);
   ASSERT_EQ(out.size(), 1u);
   const double w = out[0].w_out.get(SubStreamId{1});
   EXPECT_TRUE(std::isfinite(w));

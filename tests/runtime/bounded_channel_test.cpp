@@ -1,8 +1,12 @@
 // BoundedChannel: FIFO order, capacity blocking, close semantics, the
-// drop-with-count policy, and a multi-producer stress run.
+// drop-with-count policy, the parked-endpoint wake contract, spare-value
+// recycling, and a multi-producer stress run.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <set>
 #include <thread>
 #include <vector>
@@ -113,43 +117,166 @@ TEST(BoundedChannelTest, DrainedRequiresClosedAndEmpty) {
   EXPECT_TRUE(channel.drained());
 }
 
-TEST(BoundedChannelTest, ReadableWaiterFiresOnPushAndClose) {
-  BoundedChannel<int> channel(2);
+// The wake contract (bounded_channel.hpp): a waiter fires once per event
+// while the other endpoint is parked, never otherwise, and always on close.
+TEST(BoundedChannelTest, ReadableWaiterFiresOnlyForAParkedConsumer) {
+  BoundedChannel<int> channel(4);
   int readable_events = 0;
   channel.set_readable_waiter([&] { ++readable_events; });
 
-  channel.push(1);
+  channel.push(1);  // a new channel's consumer counts as parked
   EXPECT_EQ(readable_events, 1);
-  channel.try_push(2);
+  channel.try_push(2);  // the consumer was woken and has not parked since
+  int value = 3;
+  channel.try_push_from(value);
+  EXPECT_EQ(readable_events, 1);
+
+  EXPECT_EQ(channel.try_pop().value(), 1);  // pops raise no readable event
+  EXPECT_EQ(channel.pop().value(), 2);
+  EXPECT_EQ(channel.try_pop().value(), 3);
+  EXPECT_EQ(readable_events, 1);
+
+  // A fruitless try_pop parks the consumer: the next push wakes it, once.
+  EXPECT_EQ(channel.try_pop(), std::nullopt);
+  EXPECT_EQ(channel.try_pop(), std::nullopt);  // still one park
+  channel.push(4);
+  EXPECT_EQ(readable_events, 2);
+  channel.push(5);
   EXPECT_EQ(readable_events, 2);
 
-  channel.pop();  // pops raise only WRITABLE events
-  EXPECT_EQ(readable_events, 2);
-
-  channel.close();  // close is a readable event (end-of-stream observable)
+  // Close always fires, parked or not; a repeated close raises nothing.
+  channel.close();
   EXPECT_EQ(readable_events, 3);
-  channel.close();  // idempotent close raises nothing new
+  channel.close();
   EXPECT_EQ(readable_events, 3);
 }
 
-TEST(BoundedChannelTest, WritableWaiterFiresOnPopAndClose) {
+TEST(BoundedChannelTest, WritableWaiterFiresOnlyForAParkedProducer) {
   BoundedChannel<int> channel(2);
   int writable_events = 0;
   channel.set_writable_waiter([&] { ++writable_events; });
 
   channel.push(1);
   channel.push(2);
-  EXPECT_EQ(writable_events, 0);  // pushes raise only readable events
+  EXPECT_EQ(channel.try_pop().value(), 1);  // the producer never parked
+  EXPECT_EQ(channel.pop().value(), 2);
+  EXPECT_EQ(channel.try_pop(), std::nullopt);
+  EXPECT_EQ(writable_events, 0);
 
-  channel.pop();
+  // A try_push_from on a full channel parks the producer: the next pop
+  // wakes it, once.
+  int value = 3;
+  ASSERT_TRUE(channel.try_push_from(value));
+  value = 4;
+  ASSERT_TRUE(channel.try_push_from(value));
+  value = 5;
+  EXPECT_FALSE(channel.try_push_from(value));
+  EXPECT_EQ(writable_events, 0);
+  EXPECT_EQ(channel.try_pop().value(), 3);
   EXPECT_EQ(writable_events, 1);
-  channel.try_pop();
-  EXPECT_EQ(writable_events, 2);
-  EXPECT_EQ(channel.try_pop(), std::nullopt);  // fruitless pop: no event
+  EXPECT_EQ(channel.pop().value(), 4);
+  EXPECT_EQ(writable_events, 1);
+
+  // A push that succeeds unparks the producer: no wake is owed.
+  value = 6;
+  ASSERT_TRUE(channel.try_push_from(value));
+  value = 7;
+  ASSERT_TRUE(channel.try_push_from(value));
+  value = 8;
+  EXPECT_FALSE(channel.try_push_from(value));  // parked again
+  value = 9;
+  EXPECT_FALSE(channel.try_push_from(value));  // still one park
+  EXPECT_EQ(channel.try_pop().value(), 6);
   EXPECT_EQ(writable_events, 2);
 
-  channel.close();  // close wakes parked producers too
+  channel.close();  // close wakes the producer side too, parked or not
   EXPECT_EQ(writable_events, 3);
+}
+
+TEST(BoundedChannelTest, NewChannelFirstPushWakesItsConsumer) {
+  // Every push flavour: the consumer of a fresh channel has never looked,
+  // so it must be woken — otherwise an event-driven consumer sleeps
+  // through the first value forever.
+  for (int flavour = 0; flavour < 3; ++flavour) {
+    BoundedChannel<int> channel(2);
+    int readable_events = 0;
+    channel.set_readable_waiter([&] { ++readable_events; });
+    int value = 1;
+    if (flavour == 0) channel.push(value);
+    if (flavour == 1) channel.try_push(value);
+    if (flavour == 2) channel.try_push_from(value);
+    EXPECT_EQ(readable_events, 1) << "flavour " << flavour;
+  }
+}
+
+TEST(BoundedChannelTest, PopsOnAChannelThatNeverFillsRaiseNoWritableEvent) {
+  BoundedChannel<int> channel(4, BackpressurePolicy::kBlock);
+  int writable_events = 0;
+  channel.set_writable_waiter([&] { ++writable_events; });
+  for (int i = 0; i < 100; ++i) {
+    int value = i;
+    ASSERT_TRUE(channel.try_push_from(value));
+    ASSERT_TRUE(channel.push(i));
+    EXPECT_EQ(channel.try_pop().value(), i);
+    EXPECT_EQ(channel.pop().value(), i);
+    EXPECT_EQ(channel.try_pop(), std::nullopt);
+  }
+  EXPECT_EQ(writable_events, 0);
+}
+
+TEST(BoundedChannelTest, FullTryPushFromIsWokenByTheNextPop) {
+  // The event-driven producer's park/retry loop, run across threads: a
+  // producer whose try_push_from finds the channel full parks, and the
+  // consumer's next pop must wake it or the value is never delivered.
+  BoundedChannel<int> channel(1);
+  std::mutex mutex;
+  std::condition_variable cv;
+  bool woken = false;
+  channel.set_writable_waiter([&] {
+    {
+      std::lock_guard<std::mutex> lock(mutex);
+      woken = true;
+    }
+    cv.notify_one();
+  });
+
+  ASSERT_TRUE(channel.push(1));
+  int value = 2;
+  ASSERT_FALSE(channel.try_push_from(value));  // full: parked
+  EXPECT_EQ(value, 2);                         // left intact for the retry
+
+  std::thread consumer([&] { EXPECT_EQ(channel.pop().value(), 1); });
+  {
+    std::unique_lock<std::mutex> lock(mutex);
+    ASSERT_TRUE(cv.wait_for(lock, std::chrono::seconds(10),
+                            [&] { return woken; }));
+  }
+  consumer.join();
+  EXPECT_TRUE(channel.try_push_from(value));
+  EXPECT_EQ(channel.pop().value(), 2);
+}
+
+TEST(BoundedChannelTest, RecycledValuesAreKeptUpToCapacity) {
+  BoundedChannel<std::vector<int>> channel(2);
+  int events = 0;
+  channel.set_readable_waiter([&] { ++events; });
+  channel.set_writable_waiter([&] { ++events; });
+  EXPECT_EQ(channel.take_spare(), std::nullopt);
+
+  std::vector<int> buffer;
+  buffer.reserve(64);
+  const int* storage = buffer.data();
+  channel.recycle(std::move(buffer));
+  channel.recycle(std::vector<int>{1});
+  channel.recycle(std::vector<int>{2});  // beyond capacity: destroyed
+  EXPECT_EQ(events, 0);                  // recycling is no readiness event
+  EXPECT_EQ(channel.size(), 0u);         // and never poppable
+
+  EXPECT_EQ(channel.take_spare().value(), std::vector<int>{1});
+  std::optional<std::vector<int>> spare = channel.take_spare();
+  ASSERT_TRUE(spare.has_value());
+  EXPECT_EQ(spare->data(), storage);  // the same buffer came back
+  EXPECT_EQ(channel.take_spare(), std::nullopt);
 }
 
 TEST(BoundedChannelTest, DroppedPushRaisesNoReadableEvent) {
@@ -199,7 +326,10 @@ TEST(BoundedChannelTest, WaiterEventsAreHintsNotProofs) {
   // spurious and changed nothing.
   EXPECT_EQ(successful_pops.load(), kValues);
   EXPECT_EQ(channel.popped(), static_cast<std::uint64_t>(kValues));
-  EXPECT_GE(readable_events.load(), kValues);  // pushes + close, at least
+  // Wakes fire only while the consumer is parked: at most one per push,
+  // plus the close, which always fires.
+  EXPECT_GE(readable_events.load(), 1);
+  EXPECT_LE(readable_events.load(), kValues + 1);
 }
 
 TEST(BoundedChannelTest, MultiProducerStressDeliversEveryValue) {
