@@ -1,13 +1,13 @@
 // Runtime scaling bench: throughput and interval latency of the
 // ConcurrentEdgeTree as within-node workers grow (1/2/4/8), for the WHS
 // (ApproxIoT) and SRS engines on the paper's 4-2-1 testbed shape —
-// followed by a node-count sweep (100/1k/10k logical nodes) comparing
-// the thread-per-node substrate against the event-driven JobScheduler
-// on a fixed 8-worker pool.
+// followed by a node-count sweep (100/1k/10k logical nodes) on a fixed
+// 8-worker JobScheduler pool.
 //
-// Two effects stack here: layers always pipeline (one thread per node),
-// and workers_per_node shards each WHS node's reservoirs (§III-E, no
-// coordination while items flow) on one shared PooledSamplingExecutor.
+// Two effects stack here: layers always pipeline (every node is its own
+// scheduler task), and workers_per_node shards each WHS node's
+// reservoirs (§III-E, no coordination while items flow) on one shared
+// PooledSamplingExecutor.
 // SRS ignores the per-node worker count, so its row doubles as the
 // pipelining-only baseline.
 //
@@ -27,6 +27,9 @@
 // frequency scaling, noisy neighbours — hit every configuration alike
 // instead of whichever one happened to be running.
 //
+// Latency is push_interval to root completion, read from the tree's
+// "tree/interval_latency_us" histogram.
+//
 // Output: the human-readable table plus one JSON line per engine in the
 // shared bench_util shape. `--smoke` shrinks the run for CI.
 #include <chrono>
@@ -36,8 +39,8 @@
 
 #include "bench_util.hpp"
 #include "common/rng.hpp"
+#include "obs/stats.hpp"
 #include "runtime/concurrent_tree.hpp"
-#include "runtime/metrics.hpp"
 
 namespace {
 
@@ -51,14 +54,13 @@ struct RunResult {
 
 struct TreeShape {
   std::vector<std::size_t> layer_widths;
-  runtime::RuntimeMode mode{runtime::RuntimeMode::kThreads};
   std::size_t event_workers{0};
 };
 
 RunResult run_shape(core::EngineKind engine, const TreeShape& shape,
                     std::size_t workers_per_node, std::size_t intervals,
                     std::size_t items_per_leaf) {
-  runtime::MetricsRegistry registry;
+  obs::StatsRegistry registry;
   runtime::ConcurrentTreeConfig config;
   config.tree.layer_widths = shape.layer_widths;
   config.tree.engine = engine;
@@ -66,9 +68,9 @@ RunResult run_shape(core::EngineKind engine, const TreeShape& shape,
   config.tree.rng_seed = 20180701;
   config.channel_capacity = 8;
   config.workers_per_node = workers_per_node;
-  config.runtime_mode = shape.mode;
   config.event_workers = shape.event_workers;
-  runtime::ConcurrentEdgeTree tree(config, &registry);
+  config.stats = &registry;
+  runtime::ConcurrentEdgeTree tree(config);
 
   // Pre-generate the workload so generation cost stays out of the
   // measured section. 4 sub-streams interleaved, the paper's mix.
@@ -93,10 +95,13 @@ RunResult run_shape(core::EngineKind engine, const TreeShape& shape,
   const auto metrics = tree.metrics();
   result.throughput_items_per_s =
       static_cast<double>(metrics.items_ingested) / elapsed.count();
-  const auto snap = registry.snapshot();
-  const auto& latency = snap.histograms.at("runtime.interval_latency_us");
-  result.p50_us = latency.p50;
-  result.p99_us = latency.p99;
+  // Absent when the stats hooks are compiled out: latency then reads 0.
+  const obs::StatsSnapshot snap = registry.snapshot();
+  const auto latency = snap.histograms.find("tree/interval_latency_us");
+  if (latency != snap.histograms.end()) {
+    result.p50_us = latency->second.p50;
+    result.p99_us = latency->second.p99;
+  }
   return result;
 }
 
@@ -181,16 +186,10 @@ int main(int argc, char** argv) {
                               {"latency_p99_us", p99}});
   }
 
-  // --- node-count sweep: threads vs events on a fixed 8-worker pool ---
+  // --- node-count sweep on a fixed 8-worker pool ---
   //
-  // The event-driven runtime's whole point: node count is a
-  // data-structure dimension, not an OS-resource one. kThreads spends
-  // one OS thread per node, so its rows stop at 1000 nodes (a 10k-thread
-  // process is exactly what the scheduler exists to avoid — that cell is
-  // reported as 0 and skipped); kEvents multiplexes every tree over the
-  // same 8 workers. Output is bit-identical across the two modes (the
-  // runtime_events_tree suite pins that), so the rows compare pure
-  // substrate cost.
+  // Node count is a data-structure dimension, not an OS-resource one:
+  // every tree, up to 10k nodes, is multiplexed over the same 8 workers.
   const std::vector<int> node_counts = {100, 1000, 10000};
   const std::size_t node_intervals = smoke ? 3 : 8;
   const std::size_t node_items_per_leaf = smoke ? 5 : 20;
@@ -198,63 +197,40 @@ int main(int argc, char** argv) {
   constexpr std::size_t kEventWorkers = 8;
 
   bench::print_header(
-      "runtime scaling: node count, threads vs events",
+      "runtime scaling: node count",
       "leaves..root ~10x fan-in, fraction 0.4, " +
           std::to_string(node_intervals) + " intervals x " +
           std::to_string(node_items_per_leaf) + " items/leaf, " +
-          std::to_string(kEventWorkers) + " event workers");
+          std::to_string(kEventWorkers) + " scheduler workers");
   bench::print_cols("nodes", node_counts);
 
-  std::vector<RunResult> best_events(node_counts.size());
-  std::vector<RunResult> best_threads(node_counts.size());
+  std::vector<RunResult> best_nodes(node_counts.size());
   for (int rep = 0; rep < node_reps; ++rep) {
     for (std::size_t n = 0; n < node_counts.size(); ++n) {
-      TreeShape events = nodes_shape(node_counts[n]);
-      events.mode = runtime::RuntimeMode::kEvents;
-      events.event_workers = kEventWorkers;
-      const RunResult ev =
-          run_shape(core::EngineKind::kApproxIoT, events, 1, node_intervals,
+      TreeShape shape = nodes_shape(node_counts[n]);
+      shape.event_workers = kEventWorkers;
+      const RunResult r =
+          run_shape(core::EngineKind::kApproxIoT, shape, 1, node_intervals,
                     node_items_per_leaf);
-      if (ev.throughput_items_per_s >
-          best_events[n].throughput_items_per_s) {
-        best_events[n] = ev;
-      }
-      if (node_counts[n] <= 1000) {
-        const RunResult th = run_shape(core::EngineKind::kApproxIoT,
-                                       nodes_shape(node_counts[n]), 1,
-                                       node_intervals, node_items_per_leaf);
-        if (th.throughput_items_per_s >
-            best_threads[n].throughput_items_per_s) {
-          best_threads[n] = th;
-        }
+      if (r.throughput_items_per_s > best_nodes[n].throughput_items_per_s) {
+        best_nodes[n] = r;
       }
     }
   }
 
-  std::vector<double> ev_tp, ev_p50, ev_p99, th_tp, th_p50, th_p99;
-  for (std::size_t n = 0; n < node_counts.size(); ++n) {
-    ev_tp.push_back(best_events[n].throughput_items_per_s);
-    ev_p50.push_back(best_events[n].p50_us);
-    ev_p99.push_back(best_events[n].p99_us);
-    th_tp.push_back(best_threads[n].throughput_items_per_s);
-    th_p50.push_back(best_threads[n].p50_us);
-    th_p99.push_back(best_threads[n].p99_us);
+  std::vector<double> tp, p50, p99;
+  for (const RunResult& r : best_nodes) {
+    tp.push_back(r.throughput_items_per_s);
+    p50.push_back(r.p50_us);
+    p99.push_back(r.p99_us);
   }
-  bench::print_row("events items/s", ev_tp, "%12.0f");
-  bench::print_row("events p50 us", ev_p50, "%12.1f");
-  bench::print_row("events p99 us", ev_p99, "%12.1f");
-  bench::print_row("threads items/s", th_tp, "%12.0f");
-  bench::print_row("threads p50 us", th_p50, "%12.1f");
-  bench::print_row("threads p99 us", th_p99, "%12.1f");
-  std::printf("(threads cells at 10000 nodes are 0: one OS thread per "
-              "node does not scale there — the point of kEvents)\n");
+  bench::print_row("items/s", tp, "%12.0f");
+  bench::print_row("p50 us", p50, "%12.1f");
+  bench::print_row("p99 us", p99, "%12.1f");
   bench::print_json_result("runtime_scaling_nodes", "approxiot", "nodes",
                            node_counts,
-                           {{"events_throughput_items_per_s", ev_tp},
-                            {"events_latency_p50_us", ev_p50},
-                            {"events_latency_p99_us", ev_p99},
-                            {"threads_throughput_items_per_s", th_tp},
-                            {"threads_latency_p50_us", th_p50},
-                            {"threads_latency_p99_us", th_p99}});
+                           {{"events_throughput_items_per_s", tp},
+                            {"events_latency_p50_us", p50},
+                            {"events_latency_p99_us", p99}});
   return 0;
 }

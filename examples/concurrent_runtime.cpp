@@ -1,7 +1,7 @@
 // Concurrent runtime quickstart: a 4-2-1 ApproxIoT tree where every node
-// runs on its own thread, driven by a wall-clock IntervalScheduler, with
-// live metrics. Contrast with edge_tree_pipeline.cpp, which ticks the
-// same logical tree sequentially.
+// is a task on the runtime's work-stealing scheduler, driven by a
+// wall-clock IntervalScheduler, with live stats. Contrast with
+// edge_tree_pipeline.cpp, which ticks the same logical tree sequentially.
 //
 // Pass an output path to dump the run's stats registry in Prometheus
 // text format (the file a node_exporter-style scrape would serve):
@@ -10,14 +10,14 @@
 #include <fstream>
 
 #include "common/rng.hpp"
+#include "obs/stats.hpp"
 #include "runtime/concurrent_tree.hpp"
-#include "runtime/metrics.hpp"
 #include "runtime/scheduler.hpp"
 
 using namespace approxiot;
 
 int main(int argc, char** argv) {
-  runtime::MetricsRegistry registry;
+  obs::StatsRegistry registry;
 
   runtime::ConcurrentTreeConfig config;
   config.tree.layer_widths = {4, 2};       // paper testbed shape (4-2-1)
@@ -29,10 +29,11 @@ int main(int argc, char** argv) {
   // §III-E reservoir sharding: all nodes share one persistent
   // PooledSamplingExecutor (workers created once, with the tree).
   config.workers_per_node = 2;
-  runtime::ConcurrentEdgeTree tree(config, &registry);
+  config.stats = &registry;
+  runtime::ConcurrentEdgeTree tree(config);
 
-  std::printf("concurrent tree: %zu nodes on %zu threads\n",
-              tree.node_count(), tree.node_count());
+  std::printf("concurrent tree: %zu nodes on %zu scheduler workers\n",
+              tree.node_count(), tree.worker_count());
 
   // 2 s window = 20 ticks of 100 ms; ~4k items/tick over 4 sub-streams.
   runtime::SchedulerConfig schedule;
@@ -67,7 +68,7 @@ int main(int argc, char** argv) {
               result.sum.margin);
   std::printf("MEAN = %.3f +/- %.3f (95%%)\n", result.mean.point,
               result.mean.margin);
-  std::printf("metrics: %s\n", registry.snapshot().to_json().c_str());
+  std::printf("stats: %s\n", registry.snapshot().to_json().c_str());
 
   if (argc > 1) {
     std::ofstream out(argv[1]);
@@ -75,7 +76,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "cannot write %s\n", argv[1]);
       return 1;
     }
-    out << registry.stats().snapshot().to_prometheus();
+    out << registry.snapshot().to_prometheus();
     std::printf("wrote Prometheus snapshot to %s\n", argv[1]);
   }
   return 0;

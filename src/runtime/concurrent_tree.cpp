@@ -42,16 +42,14 @@ IntervalMessage reuse_message(BoundedChannel<IntervalMessage>& channel,
 
 }  // namespace
 
-ConcurrentEdgeTree::ConcurrentEdgeTree(ConcurrentTreeConfig config,
-                                       MetricsRegistry* metrics)
-    : config_(std::move(config)), metrics_(metrics) {
+ConcurrentEdgeTree::ConcurrentEdgeTree(ConcurrentTreeConfig config)
+    : config_(std::move(config)) {
   core::validate_edge_tree_config(config_.tree);
   const auto& widths = config_.tree.layer_widths;
 
   // Resolve observability sinks before anything that registers against
   // them (the executor binds lanes at stage construction time).
   stats_ = config_.stats;
-  if (stats_ == nullptr && metrics_ != nullptr) stats_ = &metrics_->stats();
   tracer_ = config_.tracer;
 
   // Live feedback needs a control plane to publish on. When none was
@@ -147,27 +145,12 @@ ConcurrentEdgeTree::ConcurrentEdgeTree(ConcurrentTreeConfig config,
   }
 
   // Register stats and trace tracks before any worker exists — the node
-  // loops read their NodeRuntime sinks without synchronisation.
+  // tasks read their NodeRuntime sinks without synchronisation.
   bind_observability();
-
-  if (config_.runtime_mode == RuntimeMode::kEvents) {
-    start_event_runtime();
-    return;
-  }
-
-  // kThreads: one long-running worker per node; the pool is sized to
-  // match, so each node loop owns a thread for the runtime's lifetime.
-  std::size_t total_nodes = 0;
-  for (const auto& layer : nodes_) total_nodes += layer.size();
-  pool_ = std::make_unique<ThreadPool>(total_nodes, config_.tree.rng_seed);
-  for (auto& layer : nodes_) {
-    for (NodeRuntime& node : layer) {
-      pool_->submit([this, &node](WorkerContext&) { node_loop(node); });
-    }
-  }
+  start_scheduler();
 }
 
-void ConcurrentEdgeTree::start_event_runtime() {
+void ConcurrentEdgeTree::start_scheduler() {
   std::size_t total_nodes = 0;
   for (const auto& layer : nodes_) total_nodes += layer.size();
 
@@ -190,11 +173,10 @@ void ConcurrentEdgeTree::start_event_runtime() {
   for (std::size_t layer = 0; layer < nodes_.size(); ++layer) {
     for (std::size_t i = 0; i < nodes_[layer].size(); ++i) {
       NodeRuntime& node = nodes_[layer][i];
-      node.event = std::make_unique<EventState>();
-      node.event->inbox.resize(node.inputs.size());
-      node.event->finished.assign(node.inputs.size(), false);
+      node.event.inbox.resize(node.inputs.size());
+      node.event.finished.assign(node.inputs.size(), false);
       core::PipelineStage* stage = node.stage.get();
-      node.event->task = scheduler_->add_task(
+      node.event.task = scheduler_->add_task(
           node_scope(layer, i), [this, &node] { event_pump(node); },
           [stage] {
             return static_cast<std::int64_t>(stage->policy_epoch());
@@ -208,7 +190,7 @@ void ConcurrentEdgeTree::start_event_runtime() {
   // — waiter installation is not synchronised against channel traffic.
   for (auto& layer : nodes_) {
     for (NodeRuntime& node : layer) {
-      const JobScheduler::TaskId task = node.event->task;
+      const JobScheduler::TaskId task = node.event.task;
       for (auto* input : node.inputs) {
         input->set_readable_waiter(
             [this, task] { scheduler_->notify(task); });
@@ -242,7 +224,6 @@ void ConcurrentEdgeTree::bind_observability() {
           const std::string scope = node_scope(layer, i);
           if (stats_ != nullptr) {
             node.exec_us = &stats_->histogram(scope + "/exec_us");
-            node.wait_us = &stats_->histogram(scope + "/wait_us");
             node.occupancy =
                 &stats_->linear_histogram(scope + "/occupancy", 0.0, 1.0, 20);
             node.items_in = &stats_->counter(scope + "/items_in");
@@ -261,6 +242,8 @@ void ConcurrentEdgeTree::bind_observability() {
       }
       if (stats_ != nullptr) {
         windows_closed_ = &stats_->counter("tree/windows_closed");
+        interval_latency_us_ =
+            &stats_->histogram("tree/interval_latency_us");
       }
       if (tracer_ != nullptr) {
         control_track_ = tracer_->register_track("tree/control");
@@ -330,7 +313,9 @@ void ConcurrentEdgeTree::push_interval(
     }
     seq = next_interval_++;
     items_ingested_ += total_items;
-    push_times_us_[seq] = now_us();
+    AIOT_OBS(if (interval_latency_us_ != nullptr) {
+      push_times_us_[seq] = now_us();
+    });
   }
 
   // Pushes happen outside the state lock: under kBlock a saturated leaf
@@ -345,11 +330,6 @@ void ConcurrentEdgeTree::push_interval(
       load_source(msg.bundles[0], items_per_leaf[i]);
     }
     leaf_inputs_[i]->push(std::move(msg));
-  }
-
-  if (metrics_ != nullptr) {
-    metrics_->counter("runtime.intervals_pushed").increment();
-    metrics_->counter("runtime.items_ingested").increment(total_items);
   }
 }
 
@@ -368,33 +348,16 @@ void ConcurrentEdgeTree::stop() {
     stopped_ = true;
   }
   for (auto* channel : leaf_inputs_) channel->close();
-  if (pool_ != nullptr) {
-    pool_->shutdown();
-  } else {
-    // kEvents: the closes cascade layer by layer (each finishing node
-    // closes its output, waking its parent) until the root task observes
-    // end-of-stream; only then is the worker pool quiescent and safe to
-    // join. Everything still in flight is flushed through, exactly like
-    // the thread-per-node shutdown.
-    {
-      std::unique_lock<std::mutex> lock(state_mutex_);
-      drained_cv_.wait(lock, [this] { return root_finished_; });
-    }
-    scheduler_->shutdown();
+  // The closes cascade layer by layer (each finishing node closes its
+  // output, waking its parent) until the root task observes end-of-stream;
+  // only then is the worker pool quiescent and safe to join. Everything
+  // still in flight is flushed through first.
+  {
+    std::unique_lock<std::mutex> lock(state_mutex_);
+    drained_cv_.wait(lock, [this] { return root_finished_; });
   }
+  scheduler_->shutdown();
   drained_cv_.notify_all();
-
-  if (metrics_ != nullptr) {
-    const TreeMetrics m = metrics();
-    metrics_->gauge("runtime.messages_dropped")
-        .set(static_cast<double>(m.messages_dropped));
-    for (std::size_t layer = 0; layer < m.items_forwarded_per_layer.size();
-         ++layer) {
-      metrics_
-          ->gauge("runtime.items_forwarded.layer" + std::to_string(layer))
-          .set(static_cast<double>(m.items_forwarded_per_layer[layer]));
-    }
-  }
 }
 
 core::ApproxResult ConcurrentEdgeTree::close_window(double confidence) {
@@ -458,19 +421,11 @@ void ConcurrentEdgeTree::observe_and_publish(
   auto& plane = config_.tree.control_plane;
   if (plane != nullptr &&
       plane->snapshot()->budget.sampling_fraction != next) {
-    const core::PolicyEpoch epoch = plane->publish_fraction(next);
-    if (metrics_ != nullptr) {
-      metrics_->counter("runtime.policy_publishes").increment();
-      metrics_->gauge("runtime.policy_epoch")
-          .set(static_cast<double>(epoch));
-      metrics_->gauge("runtime.policy_fraction").set(next);
-    }
+    plane->publish_fraction(next);
   }
 }
 
-void ConcurrentEdgeTree::kick() {
-  if (scheduler_ != nullptr) scheduler_->notify_all();
-}
+void ConcurrentEdgeTree::kick() { scheduler_->notify_all(); }
 
 core::PolicyEpoch ConcurrentEdgeTree::publish_fraction(double end_to_end) {
   if (config_.tree.control_plane == nullptr) {
@@ -644,9 +599,9 @@ void ConcurrentEdgeTree::absorb_dead_interval(
 }
 
 void ConcurrentEdgeTree::chaos_step() {
-  // Root-worker-only: complete_root_interval is called exclusively from
-  // the root node's thread (kThreads) or task (kEvents — a task never
-  // runs on two workers at once), so this state is single-threaded.
+  // Root-task-only: complete_root_interval is called exclusively from the
+  // root node's task, and a task never runs on two workers at once, so
+  // this state is single-threaded.
   std::uint64_t completed = 0;
   {
     std::lock_guard<std::mutex> lock(state_mutex_);
@@ -772,7 +727,7 @@ void ConcurrentEdgeTree::file_message(
 
 bool ConcurrentEdgeTree::resolve_input(NodeRuntime& node, std::size_t c,
                                        bool park) {
-  EventState& ev = *node.event;
+  EventState& ev = node.event;
   BoundedChannel<IntervalMessage>& input = *node.inputs[c];
   while (!ev.inbox[c].has_value() && !ev.finished[c]) {
     std::optional<IntervalMessage> msg =
@@ -814,101 +769,13 @@ void ConcurrentEdgeTree::return_lent(
   psi.clear();  // the entries hold only their own, empty buffers again
 }
 
-void ConcurrentEdgeTree::node_loop(NodeRuntime& node) {
-  const std::size_t n_inputs = node.inputs.size();
-  std::vector<std::optional<IntervalMessage>> inbox(n_inputs);
-  std::vector<bool> finished(n_inputs, false);
-  std::vector<core::ItemBundle> psi;
-
-  for (std::int64_t interval = 0;; ++interval) {
-    [[maybe_unused]] std::int64_t t_phase = 0;
-    AIOT_OBS(t_phase = obs_now_us(););
-
-    // Assemble this interval's Ψ: one contribution per child, in child
-    // order. A child whose message for this interval was shed (drop
-    // policy) shows up as a held message for a later interval — it then
-    // contributes nothing now, exactly as if its sensors were silent.
-    for (std::size_t c = 0; c < n_inputs; ++c) {
-      if (inbox[c].has_value()) {
-        if (inbox[c]->interval == interval) lend(*inbox[c], psi);
-        continue;
-      }
-      while (!finished[c] && !inbox[c].has_value()) {
-        auto msg = node.inputs[c]->pop();
-        if (!msg.has_value()) {
-          finished[c] = true;
-          break;
-        }
-        file_message(node, c, std::move(*msg), interval, inbox);
-      }
-      if (inbox[c].has_value() && inbox[c]->interval == interval) {
-        lend(*inbox[c], psi);
-      }
-    }
-
-    // End of stream: every input closed and drained, nothing held back,
-    // nothing gathered. Deciding this *after* gathering keeps the last
-    // real interval in and phantom trailing intervals out — each node
-    // processes exactly the intervals that were fed to it, like EdgeTree.
-    bool all_finished = true;
-    bool any_held = false;
-    for (std::size_t c = 0; c < n_inputs; ++c) {
-      all_finished = all_finished && finished[c];
-      any_held = any_held || inbox[c].has_value();
-    }
-    if (all_finished && !any_held && psi.empty()) break;
-
-    // The gather phase is over: everything between t_phase and here was
-    // spent blocked on (or checking) the input channels.
-    AIOT_OBS(
-        if (node.wait_us != nullptr || node.track != obs::ScopedSpan::kNoTrack ||
-            node.occupancy != nullptr || node.items_in != nullptr) {
-          const std::int64_t t_ready = obs_now_us();
-          if (node.wait_us != nullptr) {
-            node.wait_us->record(static_cast<double>(t_ready - t_phase));
-          }
-          if (tracer_ != nullptr &&
-              node.track != obs::ScopedSpan::kNoTrack && t_ready > t_phase) {
-            tracer_->complete(node.track, "channel-wait", t_phase, t_ready);
-          }
-          if (node.occupancy != nullptr && n_inputs > 0) {
-            double depth = 0.0;
-            double capacity = 0.0;
-            for (auto* input : node.inputs) {
-              depth += static_cast<double>(input->size());
-              capacity += static_cast<double>(input->capacity());
-            }
-            node.occupancy->record(capacity > 0.0 ? depth / capacity : 0.0);
-          }
-          if (node.items_in != nullptr) {
-            std::uint64_t gathered = 0;
-            for (const core::ItemBundle& bundle : psi) {
-              gathered += bundle.items.size();
-            }
-            node.items_in->increment(gathered);
-          }
-          if (node.intervals != nullptr) node.intervals->increment();
-          t_phase = t_ready;  // the execute phase starts here
-        });
-
-    // Run the stage even on an empty Ψ — interval bookkeeping (budget
-    // history, snapshot periods) must advance exactly as in EdgeTree.
-    std::optional<IntervalMessage> out =
-        execute_node_interval(node, interval, psi);
-    return_lent(node, interval, inbox, psi);
-    if (out.has_value()) node.output->push(std::move(*out));
-  }
-
-  if (node.output != nullptr) node.output->close();
-}
-
 std::optional<IntervalMessage> ConcurrentEdgeTree::execute_node_interval(
     NodeRuntime& node, std::int64_t interval,
     const std::vector<core::ItemBundle>& psi) {
   const bool is_root = node.output == nullptr;
 
-  // Fault gate. All stage access stays on this worker — the only thread
-  // that ever touches node.stage — so capture/restore need no stage lock:
+  // Fault gate. All stage access stays in this task — the only code that
+  // ever touches node.stage — so capture/restore need no stage lock:
   // kill_node/revive_node only flip request flags, and the dead flag's
   // release/acquire pairing publishes them to us.
   FaultState& fault = *node.fault;
@@ -940,8 +807,12 @@ std::optional<IntervalMessage> ConcurrentEdgeTree::execute_node_interval(
     }
   }
 
+  // Read the clock only when the exec histogram or a track will use it.
   [[maybe_unused]] std::int64_t t_phase = 0;
-  AIOT_OBS(t_phase = obs_now_us(););
+  AIOT_OBS(if (node.exec_us != nullptr ||
+               node.track != obs::ScopedSpan::kNoTrack) {
+    t_phase = obs_now_us();
+  });
 
   if (is_root) {
     std::uint64_t arrived = 0;
@@ -951,18 +822,20 @@ std::optional<IntervalMessage> ConcurrentEdgeTree::execute_node_interval(
     std::vector<core::SampledBundle>& outputs = root_outputs_;
     node.stage->process_interval(psi, outputs);
     AIOT_OBS(
-        const std::int64_t epoch =
-            static_cast<std::int64_t>(node.stage->policy_epoch());
-        const std::int64_t t_done = obs_now_us();
-        if (node.exec_us != nullptr) {
-          node.exec_us->record(static_cast<double>(t_done - t_phase));
-        }
-        if (tracer_ != nullptr &&
+        if (node.exec_us != nullptr ||
             node.track != obs::ScopedSpan::kNoTrack) {
-          tracer_->complete(node.track, "stage-execute", t_phase, t_done,
-                            epoch);
-        }
-        t_phase = t_done;);
+          const std::int64_t t_done = obs_now_us();
+          if (node.exec_us != nullptr) {
+            node.exec_us->record(static_cast<double>(t_done - t_phase));
+          }
+          if (tracer_ != nullptr &&
+              node.track != obs::ScopedSpan::kNoTrack) {
+            tracer_->complete(
+                node.track, "stage-execute", t_phase, t_done,
+                static_cast<std::int64_t>(node.stage->policy_epoch()));
+          }
+          t_phase = t_done;
+        });
     {
       std::lock_guard<std::mutex> lock(theta_mutex_);
       for (const core::SampledBundle& bundle : outputs) {
@@ -1012,7 +885,7 @@ std::optional<IntervalMessage> ConcurrentEdgeTree::execute_node_interval(
 }
 
 void ConcurrentEdgeTree::event_pump(NodeRuntime& node) {
-  EventState& ev = *node.event;
+  EventState& ev = node.event;
   if (ev.done) return;  // late spurious wake after end-of-stream
 
   for (;;) {
@@ -1031,9 +904,10 @@ void ConcurrentEdgeTree::event_pump(NodeRuntime& node) {
     // Phase 1: assemble Ψ for ev.interval strictly in child order: the
     // cursor lends input c's bundles only once inputs 0..c-1 are lent
     // (later inputs may be filed early but wait their turn), which keeps
-    // Ψ — and every RNG draw — bit-identical to the thread-per-node
-    // gather. Identical per-child semantics to node_loop: a held
-    // later-interval message means the child contributes nothing now.
+    // Ψ — and every RNG draw — bit-identical to the sequential EdgeTree.
+    // A held later-interval message means the child's message for this
+    // interval was shed (drop policy): it contributes nothing now,
+    // exactly as if its sensors were silent.
     const std::size_t n_inputs = node.inputs.size();
     while (ev.gather_cursor < n_inputs) {
       const std::size_t c = ev.gather_cursor;
@@ -1059,8 +933,10 @@ void ConcurrentEdgeTree::event_pump(NodeRuntime& node) {
       ++ev.gather_cursor;
     }
 
-    // End-of-stream test — same placement as node_loop: after gathering,
-    // so the last real interval is in and phantom trailing ones are out.
+    // End of stream: every input closed and drained, nothing held back,
+    // nothing gathered. Deciding this *after* gathering keeps the last
+    // real interval in and phantom trailing intervals out — each node
+    // processes exactly the intervals that were fed to it, like EdgeTree.
     bool all_finished = true;
     bool any_held = false;
     for (std::size_t c = 0; c < node.inputs.size(); ++c) {
@@ -1098,6 +974,8 @@ void ConcurrentEdgeTree::event_pump(NodeRuntime& node) {
           node.items_in->increment(gathered);
         } if (node.intervals != nullptr) node.intervals->increment(););
 
+    // Run the stage even on an empty Ψ — interval bookkeeping (budget
+    // history, snapshot periods) must advance exactly as in EdgeTree.
     std::optional<IntervalMessage> out =
         execute_node_interval(node, ev.interval, ev.psi);
     return_lent(node, ev.interval, ev.inbox, ev.psi);
@@ -1111,33 +989,31 @@ void ConcurrentEdgeTree::event_pump(NodeRuntime& node) {
         ev.pending_out = std::move(out);
       } else {
         // kDropNewest never blocks: push() sheds at a full channel and
-        // counts the loss, exactly like the thread-per-node runtime.
+        // counts the loss.
         node.output->push(std::move(*out));
       }
     }
   }
 }
 
-void ConcurrentEdgeTree::complete_root_interval(std::int64_t interval) {
-  std::int64_t latency_us = -1;
+void ConcurrentEdgeTree::complete_root_interval(
+    [[maybe_unused]] std::int64_t interval) {
+  [[maybe_unused]] std::int64_t latency_us = -1;
   {
     std::lock_guard<std::mutex> lock(state_mutex_);
     ++intervals_completed_;
-    auto it = push_times_us_.find(interval);
-    if (it != push_times_us_.end()) {
-      latency_us = now_us() - it->second;
-      push_times_us_.erase(it);
-    }
+    AIOT_OBS(if (interval_latency_us_ != nullptr) {
+      auto it = push_times_us_.find(interval);
+      if (it != push_times_us_.end()) {
+        latency_us = now_us() - it->second;
+        push_times_us_.erase(it);
+      }
+    });
   }
   drained_cv_.notify_all();
-
-  if (metrics_ != nullptr) {
-    metrics_->counter("runtime.intervals_completed").increment();
-    if (latency_us >= 0) {
-      metrics_->histogram("runtime.interval_latency_us")
-          .record(static_cast<double>(latency_us));
-    }
-  }
+  AIOT_OBS(if (latency_us >= 0) {
+    interval_latency_us_->record(static_cast<double>(latency_us));
+  });
 
   // Built-in chaos: kill/revive decisions ride the root's own interval
   // completions, so the fault schedule is deterministic per seed.
@@ -1145,7 +1021,7 @@ void ConcurrentEdgeTree::complete_root_interval(std::int64_t interval) {
 
   // Mid-window feedback (§IV-B live): every N completed root intervals,
   // observe the running window's confidence interval and let the
-  // controller republish — from the root's own thread, while every other
+  // controller republish — from the root's own task, while every other
   // worker keeps flowing. Upstream nodes adopt the new epoch at their
   // next interval boundary: the feedback edge is out-of-band, carried by
   // the control plane instead of the data channels.

@@ -1,43 +1,41 @@
 // ConcurrentEdgeTree: the paper's no-coordination claim, executed.
 //
 // core::EdgeTree ticks its layers in lockstep from one thread. This
-// runtime gives every tree node its own worker: a node consumes one
+// runtime makes every tree node its own task: a node consumes one
 // IntervalMessage per interval from each child's BoundedChannel, runs the
 // exact same core::PipelineStage (WHS / SRS / native / snapshot), and
 // pushes its (W^out, sample) output upstream. Layers therefore *pipeline*
 // — the leaves may be sampling interval k+3 while the root is still on
-// interval k — and the only inter-thread contact is the channels, mirroring
-// how ApproxIoT's layers coordinate solely through Kafka topics.
+// interval k — and the only contact between nodes is the channels,
+// mirroring how ApproxIoT's layers coordinate solely through Kafka topics.
+//
+// Execution: every node is a parkable task on a fixed-size work-stealing
+// JobScheduler, woken by channel readiness (see job_scheduler.hpp). Node
+// count is a data-structure dimension, not an OS-resource one: one
+// process runs 10k+ logical nodes on an 8-worker pool.
 //
 // Determinism: stages are built with core::edge_tree_stage_config, so with
 // kBlock backpressure (lossless) and workers_per_node == 1, the ConcurrentEdgeTree
 // produces bit-identical samples, weights and Θ to a sequential EdgeTree
-// fed the same input — the equivalence the runtime test suite pins down.
-// With workers_per_node > 1, every node shards its reservoirs over one
-// shared core::PooledSamplingExecutor (§III-E): the shard workers are
-// created once, with the tree, and per-interval sampling only dispatches
-// closures to them — no thread is spawned on the hot path. Samples then
-// differ from the sequential tree but the Eq. 8 weight invariant still
-// holds.
+// fed the same input, at any scheduler worker count — the equivalence the
+// runtime test suite pins down. A task never runs on two workers at once,
+// Ψ is assembled in child order, and every RNG lives in the node's stage
+// (not in any worker), so the scheduler can only change wall-clock
+// interleaving. With workers_per_node > 1, every node shards its
+// reservoirs over one shared core::PooledSamplingExecutor (§III-E): the
+// shard workers are created once, with the tree, and per-interval
+// sampling only dispatches closures to them — no thread is spawned on the
+// hot path. Samples then differ from the sequential tree but the Eq. 8
+// weight invariant still holds.
 //
 // Backpressure: kBlock propagates pressure source-wards and loses
 // nothing. kDropNewest sheds whole interval messages at full channels and
 // counts them — a coarse extra sampling stage for overload; see
 // bounded_channel.hpp for why ApproxIoT can absorb that.
 //
-// Two execution substrates run the SAME logical node graph:
-//   kThreads — one long-running OS thread per node (the original
-//              runtime; node count capped by OS thread limits);
-//   kEvents  — every node is a parkable task on a fixed-size
-//              work-stealing JobScheduler, woken by channel readiness
-//              (see job_scheduler.hpp). Node count becomes a data-
-//              structure dimension: one process runs 10k+ logical nodes
-//              on an 8-worker pool.
-// Both modes produce bit-identical output for equal tree configs: a task
-// never runs on two workers at once, Ψ is assembled in child order either
-// way, and every RNG lives in the node's stage (not in any worker), so
-// the only thing the scheduler can change is wall-clock interleaving.
-// kThreads is kept as the oracle the equivalence tests pin kEvents to.
+// Metrics: TreeMetrics/FaultMetrics for the tree's own counters, and the
+// obs::StatsRegistry / obs::Tracer bound in the config for everything
+// else (per-node, per-edge and scheduler stats, interval latency, spans).
 #pragma once
 
 #include <atomic>
@@ -63,27 +61,15 @@
 #include "obs/trace.hpp"
 #include "runtime/bounded_channel.hpp"
 #include "runtime/job_scheduler.hpp"
-#include "runtime/metrics.hpp"
-#include "runtime/thread_pool.hpp"
 
 namespace approxiot::runtime {
 
-/// Which execution substrate runs the node graph (see file comment).
+/// The execution substrate: nodes are tasks on a work-stealing
+/// JobScheduler. It is the only one; the enum is kept so that existing
+/// configs that name it still compile.
 enum class RuntimeMode {
-  kThreads,  ///< one OS thread per node — the oracle
-  kEvents,   ///< nodes are tasks on a work-stealing JobScheduler
+  kEvents,
 };
-
-[[nodiscard]] constexpr const char* runtime_mode_name(
-    RuntimeMode mode) noexcept {
-  switch (mode) {
-    case RuntimeMode::kThreads:
-      return "threads";
-    case RuntimeMode::kEvents:
-      return "events";
-  }
-  return "?";
-}
 
 /// One interval's worth of Ψ contribution travelling over one tree edge.
 /// `bundles` may be empty (an interval in which the child produced
@@ -109,14 +95,11 @@ struct ConcurrentTreeConfig {
   /// Interval messages in flight per edge before backpressure kicks in.
   std::size_t channel_capacity{8};
   BackpressurePolicy backpressure{BackpressurePolicy::kBlock};
-  /// Execution substrate. kThreads spends one OS thread per node (caps
-  /// trees at a few hundred nodes); kEvents multiplexes every node over
-  /// `event_workers` scheduler workers and is bit-identical to kThreads
-  /// for equal tree configs.
-  RuntimeMode runtime_mode{RuntimeMode::kThreads};
-  /// Worker pool size for kEvents (0 = hardware concurrency), clamped to
-  /// the node count. The pool size never changes the sampling output —
-  /// only how many nodes make progress at once.
+  /// Not read: kept only so that existing configs that set it compile.
+  RuntimeMode runtime_mode{RuntimeMode::kEvents};
+  /// Scheduler worker count (0 = hardware concurrency), clamped to the
+  /// node count. The pool size never changes the sampling output — only
+  /// how many nodes make progress at once.
   std::size_t event_workers{0};
   /// Reservoir-sharding workers inside each WHS node (§III-E). With > 1
   /// the tree builds one shared PooledSamplingExecutor for all nodes
@@ -127,7 +110,7 @@ struct ConcurrentTreeConfig {
   /// several trees (or a tree plus stream processors) can share one
   /// persistent worker pool.
   std::shared_ptr<core::SamplingExecutor> sampling_executor{};
-  /// Optional: called from the root's thread for every sampled bundle the
+  /// Optional: called from the root's task for every sampled bundle the
   /// root adds to Θ (e.g. to republish results into a flowqueue topic).
   std::function<void(const core::SampledBundle&)> root_tap{};
 
@@ -153,16 +136,15 @@ struct ConcurrentTreeConfig {
   };
   AdaptiveFeedback adaptive{};
 
-  /// Observability (optional, unowned; must outlive the tree). When
-  /// `stats` is null the tree falls back to the `metrics` registry passed
-  /// to the constructor (its obs backend), so existing call sites get the
-  /// hierarchical stats for free. Per node "tree/L{layer}/n{i}" (root:
-  /// "tree/root"): exec/wait-latency histograms, an input-occupancy
-  /// histogram, item/interval counters, and per-edge channel depth/block/
-  /// drop stats. A `tracer` additionally gives every node its own track
-  /// with channel-wait / stage-execute / root-merge spans (plus
-  /// window-close and policy-publish events on "tree/control"), each
-  /// annotated with the resolved policy_epoch. Instrumentation reads
+  /// Observability (optional, unowned; must outlive the tree). Per node
+  /// "tree/L{layer}/n{i}" (root: "tree/root"): an exec-latency histogram,
+  /// an input-occupancy histogram, item/interval counters, and per-edge
+  /// channel depth/block/drop stats; tree-wide "tree/interval_latency_us"
+  /// (push_interval to root completion), window, policy and fault stats,
+  /// and the scheduler's "tree/sched/..." stats. A `tracer` additionally
+  /// gives every node its own track with stage-execute / root-merge spans
+  /// (plus window-close and policy-publish events on "tree/control"),
+  /// each annotated with the resolved policy_epoch. Instrumentation reads
   /// clocks and counters only — sampling output is bit-identical with or
   /// without it.
   obs::StatsRegistry* stats{nullptr};
@@ -194,10 +176,9 @@ struct ConcurrentTreeConfig {
 
 class ConcurrentEdgeTree {
  public:
-  /// Builds the tree and starts one worker per node immediately.
-  /// `metrics` (optional, unowned) receives runtime counters/latencies.
-  explicit ConcurrentEdgeTree(ConcurrentTreeConfig config,
-                              MetricsRegistry* metrics = nullptr);
+  /// Builds the tree, registers one scheduler task per node and starts
+  /// the scheduler's workers immediately.
+  explicit ConcurrentEdgeTree(ConcurrentTreeConfig config);
 
   ConcurrentEdgeTree(const ConcurrentEdgeTree&) = delete;
   ConcurrentEdgeTree& operator=(const ConcurrentEdgeTree&) = delete;
@@ -206,6 +187,10 @@ class ConcurrentEdgeTree {
 
   [[nodiscard]] std::size_t leaf_count() const noexcept;
   [[nodiscard]] std::size_t node_count() const noexcept;
+  /// OS threads the node tasks share (the resolved event_workers).
+  [[nodiscard]] std::size_t worker_count() const noexcept {
+    return scheduler_->worker_count();
+  }
 
   /// Feeds one interval of source data (one item vector per leaf).
   /// Under kBlock this blocks when the leaves are saturated; under
@@ -217,8 +202,9 @@ class ConcurrentEdgeTree {
   /// intervals never reach the root and stop() is the only full barrier.
   void drain();
 
-  /// Closes the source channels and joins every node worker. All pushed
-  /// data still in flight is flushed through the tree first. Idempotent.
+  /// Closes the source channels, waits until the close has cascaded to
+  /// the root, and joins the scheduler's workers. All pushed data still
+  /// in flight is flushed through the tree first. Idempotent.
   void stop();
 
   /// drain()s (kBlock only — under kDropNewest a shed interval would make
@@ -281,20 +267,20 @@ class ConcurrentEdgeTree {
   /// feedback path, so the history may grow concurrently.
   [[nodiscard]] std::vector<double> adaptive_history() const;
 
-  /// kEvents chaos/recovery hook: wakes every node task spuriously (see
+  /// Chaos/recovery hook: wakes every node task spuriously (see
   /// JobScheduler::notify_all). Correctness must not depend on wake
   /// precision, so a storm of kicks may change nothing but wasted cycles
-  /// — the property the chaos tests hammer on. No-op under kThreads.
-  /// Safe while workers run.
+  /// — the property the chaos tests hammer on. Safe while workers run,
+  /// and harmless after stop().
   void kick();
 
   // --- fault injection & recovery ----------------------------------------
 
-  /// Marks node (layer, index) dead. Its worker keeps draining channels
+  /// Marks node (layer, index) dead. Its task keeps draining channels
   /// (so the tree never deadlocks under kBlock) but swallows every
   /// interval into lost_weight/lost_items instead of sampling, and
   /// forwards empty interval messages so parents stay aligned. With
-  /// `capture` the worker snapshots the stage's state (reservoir, RNG,
+  /// `capture` the task snapshots the stage's state (reservoir, RNG,
   /// weight carry, epoch) at its next interval — the capture revive_node
   /// can restore. Safe while workers run; the root cannot be killed
   /// (kill the whole tree instead). Addressing: layer == layer_widths
@@ -302,7 +288,7 @@ class ConcurrentEdgeTree {
   void kill_node(std::size_t layer, std::size_t index, bool capture = true);
 
   /// Brings a killed node back. With `restore` (and a capture available)
-  /// the worker restores the captured stage state before its next
+  /// the task restores the captured stage state before its next
   /// interval — continuing the reservoir streak bit-identically; without
   /// it the node restarts cold from its constructed state.
   void revive_node(std::size_t layer, std::size_t index,
@@ -335,7 +321,7 @@ class ConcurrentEdgeTree {
   void restore(const core::Checkpoint& checkpoint);
 
  private:
-  /// Event-mode task state. Only the one worker currently running the
+  /// Per-node task state. Only the one worker currently running the
   /// node's task touches it (the JobScheduler's state machine guarantees
   /// a task never runs on two workers at once), so no locks: the hand-off
   /// between successive runs synchronises through the scheduler.
@@ -346,7 +332,7 @@ class ConcurrentEdgeTree {
     /// Next input (child index) to lend to Ψ for `interval`. Lending
     /// only at the cursor — never whatever happens to be ready — keeps Ψ
     /// in child order, and therefore every RNG draw bit-identical to the
-    /// thread-per-node runtime.
+    /// sequential EdgeTree.
     std::size_t gather_cursor{0};
     /// Ψ gathered so far for `interval`, in child order. Its bundles are
     /// on loan from the messages in `inbox`.
@@ -364,9 +350,9 @@ class ConcurrentEdgeTree {
 
   /// Per-node kill/revive state. The atomics are the cross-thread
   /// surface: kill_node/revive_node (any thread) flip request flags, and
-  /// the node's own worker — the only thread ever touching the stage —
-  /// acts on them at its next interval boundary. `saved` is written by
-  /// the worker (self-capture) and read by the worker (restore), with
+  /// the node's own task — the only code ever touching the stage — acts
+  /// on them at its next interval boundary. `saved` is written by the
+  /// task (self-capture) and read by the task (restore), with
   /// `mutex` guarding against a concurrent external checkpoint() reading
   /// it; the dead flag's release/acquire pairing orders the request flags.
   struct FaultState {
@@ -385,27 +371,24 @@ class ConcurrentEdgeTree {
     /// unique_ptr so NodeRuntime stays movable (FaultState holds a mutex
     /// and atomics). Allocated for every node at construction.
     std::unique_ptr<FaultState> fault;
-    std::unique_ptr<EventState> event;  // kEvents only
+    EventState event;
     // Per-node observability sinks, resolved once at construction (null /
-    // kNoTrack when unbound — the loop hooks then cost one null check,
+    // kNoTrack when unbound — the task's hooks then cost one null check,
     // and APPROXIOT_NO_STATS compiles even that away).
     obs::Histogram* exec_us{nullptr};
-    obs::Histogram* wait_us{nullptr};
     obs::LinearHistogram* occupancy{nullptr};
     obs::Counter* items_in{nullptr};
     obs::Counter* intervals{nullptr};
     obs::TrackId track{obs::ScopedSpan::kNoTrack};
   };
 
-  void node_loop(NodeRuntime& node);
-  /// Event-mode task body: makes every kind of progress possible (flush
-  /// parked output, gather, execute, repeat) and returns when blocked;
-  /// channel readiness waiters re-queue it via the scheduler.
+  /// Task body: makes every kind of progress possible (flush parked
+  /// output, gather, execute, repeat) and returns when blocked; channel
+  /// readiness waiters re-queue it via the scheduler.
   void event_pump(NodeRuntime& node);
-  /// Runs the node's stage over the assembled Ψ — shared by both modes so
-  /// the per-interval semantics (root Θ fold, tap, interval completion,
-  /// exec spans) cannot diverge. Root: returns nullopt after folding into
-  /// Θ; non-root: returns the message to forward upstream.
+  /// Runs the node's stage over the assembled Ψ (root Θ fold, tap,
+  /// interval completion, exec spans). Root: returns nullopt after
+  /// folding into Θ; non-root: returns the message to forward upstream.
   std::optional<IntervalMessage> execute_node_interval(
       NodeRuntime& node, std::int64_t interval,
       const std::vector<core::ItemBundle>& psi);
@@ -414,7 +397,7 @@ class ConcurrentEdgeTree {
   static void file_message(NodeRuntime& node, std::size_t c,
                            IntervalMessage&& msg, std::int64_t interval,
                            std::vector<std::optional<IntervalMessage>>& inbox);
-  /// Event mode: true once input `c` is resolved for the interval being
+  /// True once input `c` is resolved for the interval being
   /// gathered — a message filed in the inbox, or end-of-stream. When `c`
   /// has nothing yet, returns false, and with `park` the consumer sleeps
   /// on `c` (its next push wakes the task); without, it only looked.
@@ -428,11 +411,11 @@ class ConcurrentEdgeTree {
                           std::vector<core::ItemBundle>& psi);
   /// Builds the scheduler, registers one task per node, wires channel
   /// readiness to task wakes, and starts the workers.
-  void start_event_runtime();
+  void start_scheduler();
   void complete_root_interval(std::int64_t interval);
   /// Registers per-node/per-edge stats and trace tracks; called from the
   /// constructor before any worker starts (registration is not
-  /// synchronised against the node loops).
+  /// synchronised against the node tasks).
   void bind_observability();
   [[nodiscard]] std::string node_scope(std::size_t layer,
                                        std::size_t index) const;
@@ -449,23 +432,22 @@ class ConcurrentEdgeTree {
   [[nodiscard]] const NodeRuntime& node_at(std::size_t layer,
                                            std::size_t index) const;
   /// Dead-node interval path: swallows Ψ into the lost accounting (the
-  /// caller does the optional self-capture). Runs on the node's own
-  /// worker.
+  /// caller does the optional self-capture). Runs in the node's own
+  /// task.
   void absorb_dead_interval(const std::vector<core::ItemBundle>& psi);
-  /// Chaos driver step; runs on the root worker only (single-threaded in
-  /// both runtime modes — complete_root_interval is only ever called from
-  /// the root node's task/thread), so its state needs no lock.
+  /// Chaos driver step; runs in the root task only (complete_root_interval
+  /// is only ever called from there, and a task never runs on two workers
+  /// at once), so its state needs no lock.
   void chaos_step();
 
   ConcurrentTreeConfig config_;
-  MetricsRegistry* metrics_{nullptr};
 
-  /// Resolved observability sinks (config_.stats, or the metrics
-  /// registry's obs backend, or null).
+  /// Observability sinks (config_.stats / config_.tracer, or null).
   obs::StatsRegistry* stats_{nullptr};
   obs::Tracer* tracer_{nullptr};
   obs::TrackId control_track_{obs::ScopedSpan::kNoTrack};
   obs::Counter* windows_closed_{nullptr};
+  obs::Histogram* interval_latency_us_{nullptr};
 
   /// §IV-B loop state; adaptive_mutex_ serialises the root worker's
   /// mid-window observations against close_window() observations.
@@ -499,6 +481,8 @@ class ConcurrentEdgeTree {
   std::uint64_t items_ingested_{0};
   std::uint64_t items_at_root_{0};
   std::uint64_t intervals_completed_{0};
+  /// Push time per interval still in flight; kept only while
+  /// interval_latency_us_ is bound.
   std::map<std::int64_t, std::int64_t> push_times_us_;
   bool stopped_{false};
   /// Fault accounting, guarded by state_mutex_ (written by whichever
@@ -518,14 +502,13 @@ class ConcurrentEdgeTree {
   /// (layer, index, revive-at-completed-interval-count) per dead victim.
   std::vector<std::tuple<std::size_t, std::size_t, std::uint64_t>>
       chaos_pending_;
-  /// kEvents: the root task observed end-of-stream (all closes cascaded
+  /// The root task observed end-of-stream (all closes cascaded
   /// through); guarded by state_mutex_, signalled on drained_cv_.
   bool root_finished_{false};
 
-  // Last members: one of these is the execution substrate, and its
-  // destructor joins every worker before channels/stages die.
-  std::unique_ptr<ThreadPool> pool_;          // kThreads
-  std::unique_ptr<JobScheduler> scheduler_;   // kEvents
+  // Last member: its destructor joins every worker before channels and
+  // stages die.
+  std::unique_ptr<JobScheduler> scheduler_;
 };
 
 }  // namespace approxiot::runtime

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "core/wire.hpp"
+#include "obs/hooks.hpp"
 #include "workload/substream.hpp"
 
 namespace approxiot::runtime {
@@ -12,10 +13,10 @@ namespace approxiot::runtime {
 FlowQueueSource::FlowQueueSource(flowqueue::Broker& broker,
                                  ConcurrentEdgeTree& tree,
                                  FlowQueueSourceConfig config,
-                                 MetricsRegistry* metrics)
+                                 obs::StatsRegistry* stats)
     : tree_(&tree),
       config_(std::move(config)),
-      metrics_(metrics),
+      stats_(stats),
       consumer_(broker, config_.group + "-consumer"),
       clock_(config_.interval) {}
 
@@ -40,9 +41,9 @@ Result<std::size_t> FlowQueueSource::run_until_idle(std::size_t max_cycles) {
       auto bundle = core::decode_bundle(record.value);
       if (!bundle.is_ok()) {
         ++decode_errors_;
-        if (metrics_ != nullptr) {
-          metrics_->counter("bridge.decode_errors").increment();
-        }
+        AIOT_OBS(if (stats_ != nullptr) {
+          stats_->counter("bridge/decode_errors").increment();
+        });
         continue;
       }
       const std::int64_t seq = clock_.interval_of(record.timestamp).seq;
@@ -51,9 +52,9 @@ Result<std::size_t> FlowQueueSource::run_until_idle(std::size_t max_cycles) {
         // Its tick already fired — a force-flush ran, or a watermark
         // flush did and a producer then appended an older timestamp.
         ++late_records_;
-        if (metrics_ != nullptr) {
-          metrics_->counter("bridge.late_records").increment();
-        }
+        AIOT_OBS(if (stats_ != nullptr) {
+          stats_->counter("bridge/late_records").increment();
+        });
         continue;
       }
 
@@ -70,11 +71,11 @@ Result<std::size_t> FlowQueueSource::run_until_idle(std::size_t max_cycles) {
                               std::make_move_iterator(sharded[leaf].end()));
       }
       ++records_bridged_;
-      if (metrics_ != nullptr) {
-        metrics_->counter("bridge.records_bridged").increment();
-        metrics_->counter("bridge.bytes_bridged")
+      AIOT_OBS(if (stats_ != nullptr) {
+        stats_->counter("bridge/records_bridged").increment();
+        stats_->counter("bridge/bytes_bridged")
             .increment(record.value.size());
-      }
+      });
     }
     // Safety valve for topics that never go idle: bound the buffer by
     // force-flushing the oldest intervals. A lagging partition may then
@@ -93,9 +94,9 @@ Result<std::size_t> FlowQueueSource::run_until_idle(std::size_t max_cycles) {
       const std::size_t flushed = flush_through(max_seen_interval_ - 1);
       if (flushed > 0) {
         watermark_flushes_ += flushed;
-        if (metrics_ != nullptr) {
-          metrics_->counter("bridge.watermark_flushes").increment(flushed);
-        }
+        AIOT_OBS(if (stats_ != nullptr) {
+          stats_->counter("bridge/watermark_flushes").increment(flushed);
+        });
       }
       pushed += flushed;
     }
@@ -193,16 +194,16 @@ std::size_t FlowQueueSource::flush_through(std::int64_t last_interval) {
   }
   if (skipped > 0) {
     gap_intervals_skipped_ += skipped;
-    if (metrics_ != nullptr) {
-      metrics_->counter("bridge.gap_intervals_skipped").increment(skipped);
-    }
+    AIOT_OBS(if (stats_ != nullptr) {
+      stats_->counter("bridge/gap_intervals_skipped").increment(skipped);
+    });
   }
   return pushed;
 }
 
 FlowQueueSink::FlowQueueSink(flowqueue::Broker& broker, std::string topic,
-                             MetricsRegistry* metrics)
-    : producer_(broker), topic_(std::move(topic)), metrics_(metrics) {
+                             obs::StatsRegistry* stats)
+    : producer_(broker), topic_(std::move(topic)), stats_(stats) {
   broker.ensure_topic(topic_, 1);
 }
 
@@ -216,20 +217,20 @@ void FlowQueueSink::publish(const core::SampledBundle& bundle) {
     timestamp.us = std::max(timestamp.us, item.created_at_us);
   }
   auto payload = core::encode_bundle(bundle);
-  const std::size_t bytes = payload.size();
+  [[maybe_unused]] const std::size_t bytes = payload.size();
   auto sent = producer_.send(topic_, "root", std::move(payload), timestamp);
   if (!sent.is_ok()) {
     ++publish_errors_;
-    if (metrics_ != nullptr) {
-      metrics_->counter("bridge.publish_errors").increment();
-    }
+    AIOT_OBS(if (stats_ != nullptr) {
+      stats_->counter("bridge/publish_errors").increment();
+    });
     return;
   }
   ++bundles_published_;
-  if (metrics_ != nullptr) {
-    metrics_->counter("bridge.bundles_published").increment();
-    metrics_->counter("bridge.bytes_published").increment(bytes);
-  }
+  AIOT_OBS(if (stats_ != nullptr) {
+    stats_->counter("bridge/bundles_published").increment();
+    stats_->counter("bridge/bytes_published").increment(bytes);
+  });
 }
 
 std::function<void(const core::SampledBundle&)> FlowQueueSink::as_root_tap() {

@@ -11,8 +11,8 @@
 //   a topic (hook it up via ConcurrentTreeConfig::root_tap), closing the
 //   loop for downstream analytics consumers.
 //
-// Both report through the MetricsRegistry (records bridged, bytes,
-// decode errors, bundles published).
+// Both count into an optional obs::StatsRegistry under "bridge/..."
+// (records bridged, bytes, decode errors, bundles published).
 #pragma once
 
 #include <cstdint>
@@ -26,8 +26,8 @@
 #include "flowqueue/broker.hpp"
 #include "flowqueue/consumer.hpp"
 #include "flowqueue/producer.hpp"
+#include "obs/stats.hpp"
 #include "runtime/concurrent_tree.hpp"
-#include "runtime/metrics.hpp"
 
 namespace approxiot::runtime {
 
@@ -53,7 +53,7 @@ class FlowQueueSource {
  public:
   FlowQueueSource(flowqueue::Broker& broker, ConcurrentEdgeTree& tree,
                   FlowQueueSourceConfig config,
-                  MetricsRegistry* metrics = nullptr);
+                  obs::StatsRegistry* stats = nullptr);
 
   /// Joins the consumer group; call once before pumping.
   Status start();
@@ -117,7 +117,7 @@ class FlowQueueSource {
 
   ConcurrentEdgeTree* tree_;
   FlowQueueSourceConfig config_;
-  MetricsRegistry* metrics_{nullptr};
+  obs::StatsRegistry* stats_{nullptr};
   flowqueue::Consumer consumer_;
   IntervalClock clock_;
 
@@ -136,7 +136,7 @@ class FlowQueueSink {
  public:
   /// Publishes to `topic` (created with one partition if absent).
   FlowQueueSink(flowqueue::Broker& broker, std::string topic,
-                MetricsRegistry* metrics = nullptr);
+                obs::StatsRegistry* stats = nullptr);
 
   /// Thread-safe: callable from the runtime's root worker.
   void publish(const core::SampledBundle& bundle);
@@ -154,7 +154,7 @@ class FlowQueueSink {
  private:
   flowqueue::Producer producer_;
   std::string topic_;
-  MetricsRegistry* metrics_{nullptr};
+  obs::StatsRegistry* stats_{nullptr};
   std::mutex mutex_;
   std::uint64_t bundles_published_{0};
   std::uint64_t publish_errors_{0};

@@ -28,8 +28,8 @@
 // their channels from scratch); a notify during kRunning forces exactly
 // one re-run. Each task is therefore in at most one deque and never runs
 // on two workers at once — which is what lets a task own mutable state
-// (its pipeline stage, its RNG) without locks, and what makes the
-// event-driven tree bit-identical to the thread-per-node one.
+// (its pipeline stage, its RNG) without locks, and what keeps the
+// concurrent tree bit-identical to the sequential EdgeTree.
 //
 // Determinism: the scheduler adds none of its own randomness. Which
 // worker runs a task affects only wall-clock interleaving; every task's

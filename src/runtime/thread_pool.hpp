@@ -1,15 +1,15 @@
-// ThreadPool: the runtime's worker substrate.
+// ThreadPool: the worker pool behind core::PooledSamplingExecutor, which
+// runs within-node reservoir shards on it (the tree's node tasks run on
+// the JobScheduler instead).
 //
 // Each worker owns a WorkerContext with a deterministic Rng: worker i's
 // generator is the pool seed jumped i times (non-overlapping 2^128-step
 // sub-sequences of one logical stream). Sampling tasks therefore stay
 // reproducible run-to-run as long as the *assignment* of tasks to
-// workers is deterministic — which the ConcurrentEdgeTree guarantees by
-// pinning one long-running node loop per worker, and which
-// core::PooledSamplingExecutor sidesteps entirely by carrying each
-// shard's RNG in the closure instead of the worker. wait_idle() gives
-// callers an interval barrier when they need one without tearing the
-// pool down.
+// workers is deterministic; PooledSamplingExecutor sidesteps that by
+// carrying each shard's RNG in the closure instead of the worker.
+// wait_idle() gives callers an interval barrier when they need one
+// without tearing the pool down.
 #pragma once
 
 #include <condition_variable>

@@ -50,13 +50,13 @@ TEST(BrokerStressTest, RebalanceStormKeepsSinglePartitionOwnership) {
   ASSERT_TRUE(broker.create_topic(kTopicA, kPartitionsA).is_ok());
   ASSERT_TRUE(broker.create_topic(kTopicB, kPartitionsB).is_ok());
 
-  constexpr int kThreads = 6;
+  constexpr int kThreadCount = 6;
   constexpr int kRounds = 15;
   const std::vector<std::string> topics = {kTopicA, kTopicB};
 
   for (int round = 0; round < kRounds; ++round) {
     std::vector<std::thread> threads;
-    for (int t = 0; t < kThreads; ++t) {
+    for (int t = 0; t < kThreadCount; ++t) {
       threads.emplace_back([&broker, &topics, t, round] {
         const std::string member = std::string("m").append(std::to_string(t));
         // A burst of churn: join, commit a few offsets, maybe bounce.
@@ -81,7 +81,7 @@ TEST(BrokerStressTest, RebalanceStormKeepsSinglePartitionOwnership) {
 
     // Deterministic post-churn membership for this round.
     std::set<std::string> members;
-    for (int t = 0; t < kThreads; ++t) {
+    for (int t = 0; t < kThreadCount; ++t) {
       if (t % 2 != round % 2) {
         members.insert(std::string("m").append(std::to_string(t)));
       }

@@ -84,10 +84,10 @@ TEST(PartitionLogTest, TracksBytesAppended) {
 
 TEST(PartitionLogTest, ConcurrentAppendsAllLand) {
   PartitionLog log;
-  constexpr int kThreads = 4;
+  constexpr int kThreadCount = 4;
   constexpr int kPerThread = 1000;
   std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
+  for (int t = 0; t < kThreadCount; ++t) {
     threads.emplace_back([&log, t]() {
       for (int i = 0; i < kPerThread; ++i) {
         log.append(make_record(std::to_string(t)));
@@ -95,11 +95,11 @@ TEST(PartitionLogTest, ConcurrentAppendsAllLand) {
     });
   }
   for (auto& th : threads) th.join();
-  EXPECT_EQ(log.end_offset(), kThreads * kPerThread);
+  EXPECT_EQ(log.end_offset(), kThreadCount * kPerThread);
   // Offsets must be dense: reading everything yields end_offset records.
   std::vector<Record> out;
-  EXPECT_EQ(log.read(0, kThreads * kPerThread + 10, out),
-            static_cast<std::size_t>(kThreads * kPerThread));
+  EXPECT_EQ(log.read(0, kThreadCount * kPerThread + 10, out),
+            static_cast<std::size_t>(kThreadCount * kPerThread));
 }
 
 }  // namespace

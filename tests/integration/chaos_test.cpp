@@ -12,8 +12,9 @@
 //     concurrent runtime, and a restored run is bit-identical to an
 //     uninterrupted one, down to the wire bytes the root emits;
 //   - the built-in chaos driver (random kill/revive every N intervals)
-//     preserves all of the above under both execution substrates, with
-//     and without capture/restore, for every seed.
+//     preserves all of the above on a fully serialised (1-worker) and a
+//     4-worker scheduler, with and without capture/restore, for every
+//     seed.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -343,14 +344,14 @@ TEST(ChaosTest, RestoredRunEmitsIdenticalWireBytes) {
 }
 
 // The chaos storm proper: the built-in driver kills a random node every 5
-// completed root intervals and revives it 2 intervals later, across both
-// execution substrates, with and without capture/restore, for 5 seeds —
-// 20 runs. Which intervals a victim swallows depends on pipelining
+// completed root intervals and revives it 2 intervals later, on 1 and 4
+// scheduler workers, with and without capture/restore, for 5 seeds —
+// 20 runs, with a storm of spurious wakes on every push. Which intervals a victim swallows depends on pipelining
 // timing, so the assertion is the timing-independent one: conservation.
 // Delivered estimates plus quantified loss reconstruct the full stream,
 // to relative 1e-6, every single run.
 struct StormCase {
-  RuntimeMode mode;
+  std::size_t event_workers;
   bool checkpoint_restore;
   std::uint64_t seed;
 };
@@ -367,8 +368,7 @@ TEST_P(ChaosStormTest, ConservationHoldsThroughRandomKillsAndRevives) {
   config.channel_capacity = 4;
   config.backpressure = BackpressurePolicy::kBlock;  // lossless: loss below
                                                      // is all fault-induced
-  config.runtime_mode = param.mode;
-  config.event_workers = 4;
+  config.event_workers = param.event_workers;
   config.chaos.enabled = true;
   config.chaos.kill_every_n_intervals = 5;
   config.chaos.dead_intervals = 2;
@@ -381,7 +381,7 @@ TEST_P(ChaosStormTest, ConservationHoldsThroughRandomKillsAndRevives) {
   ConcurrentEdgeTree tree(config);
   for (const auto& tick : workload) {
     tree.push_interval(tick);
-    if (param.mode == RuntimeMode::kEvents) tree.kick();  // spurious wakes
+    tree.kick();  // spurious wakes
   }
   tree.drain();
 
@@ -405,21 +405,21 @@ TEST_P(ChaosStormTest, ConservationHoldsThroughRandomKillsAndRevives) {
 
 std::vector<StormCase> storm_matrix() {
   std::vector<StormCase> cases;
-  for (const RuntimeMode mode : {RuntimeMode::kThreads, RuntimeMode::kEvents}) {
+  for (const std::size_t workers : {1, 4}) {
     for (const bool restore : {true, false}) {
       for (std::uint64_t seed = 1; seed <= 5; ++seed) {
-        cases.push_back(StormCase{mode, restore, seed});
+        cases.push_back(StormCase{workers, restore, seed});
       }
     }
   }
   return cases;
 }
 
-INSTANTIATE_TEST_SUITE_P(AllModes, ChaosStormTest,
+INSTANTIATE_TEST_SUITE_P(AllSchedules, ChaosStormTest,
                          ::testing::ValuesIn(storm_matrix()),
                          [](const auto& info) {
-                           return std::string(
-                                      runtime_mode_name(info.param.mode)) +
+                           return "w" +
+                                  std::to_string(info.param.event_workers) +
                                   (info.param.checkpoint_restore ? "_restore"
                                                                  : "_cold") +
                                   "_seed" + std::to_string(info.param.seed);

@@ -30,6 +30,53 @@ TEST(ObsStatsTest, RegistryReturnsStableReferences) {
   EXPECT_EQ(&h1, &h2);
 }
 
+TEST(ObsStatsTest, ConcurrentCounterIncrementsAreLossless) {
+  StatsRegistry registry;
+  Counter& counter = registry.counter("hits");
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&counter] {
+      for (int i = 0; i < 10000; ++i) counter.increment();
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(counter.value(), 40000u);
+}
+
+TEST(ObsStatsTest, HistogramTracksCountSumMeanMax) {
+  Histogram h;
+  for (double v : {1.0, 2.0, 3.0, 4.0, 10.0}) h.record(v);
+  EXPECT_EQ(h.count(), 5u);
+  EXPECT_DOUBLE_EQ(h.sum(), 20.0);
+  EXPECT_DOUBLE_EQ(h.mean(), 4.0);
+  EXPECT_DOUBLE_EQ(h.max_value(), 10.0);
+}
+
+TEST(ObsStatsTest, HistogramPercentilesAreOrderedAndBounded) {
+  Histogram h;
+  for (int i = 1; i <= 1000; ++i) h.record(static_cast<double>(i));
+  const double p50 = h.percentile(0.50);
+  const double p99 = h.percentile(0.99);
+  EXPECT_LE(p50, p99);
+  EXPECT_LE(p99, h.max_value());
+  // Exponential buckets give ~2x resolution; p50 of U[1,1000] is ~500.
+  EXPECT_GT(p50, 250.0);
+  EXPECT_LT(p50, 1024.0);
+  EXPECT_GT(p99, 500.0);
+  EXPECT_DOUBLE_EQ(h.percentile(0.0), h.min_value());
+  EXPECT_DOUBLE_EQ(h.percentile(1.0), h.max_value());
+}
+
+TEST(ObsStatsTest, HistogramPercentileIsClampedToMinBelowBucketBoundary) {
+  // A lone small value in the first bucket: quantiles must never report
+  // below it (the bucket's nominal range starts at 0).
+  Histogram h;
+  h.record(0.25);
+  h.record(0.75);
+  EXPECT_GE(h.percentile(0.01), 0.25);
+  EXPECT_LE(h.percentile(0.99), 0.75);
+}
+
 TEST(ObsStatsTest, HistogramSingleSampleReportsItselfAtEveryQuantile) {
   Histogram h;
   h.record(42.0);
@@ -43,7 +90,10 @@ TEST(ObsStatsTest, HistogramSingleSampleReportsItselfAtEveryQuantile) {
 TEST(ObsStatsTest, HistogramEmptyIsAllZero) {
   Histogram h;
   EXPECT_EQ(h.count(), 0u);
-  EXPECT_DOUBLE_EQ(h.percentile(0.5), 0.0);
+  EXPECT_DOUBLE_EQ(h.mean(), 0.0);
+  for (double q : {0.0, 0.5, 0.99, 1.0}) {
+    EXPECT_DOUBLE_EQ(h.percentile(q), 0.0) << "q=" << q;
+  }
   EXPECT_DOUBLE_EQ(h.min_value(), 0.0);
   EXPECT_DOUBLE_EQ(h.max_value(), 0.0);
 }
@@ -51,7 +101,7 @@ TEST(ObsStatsTest, HistogramEmptyIsAllZero) {
 TEST(ObsStatsTest, HistogramQuantilesStayWithinObservedRange) {
   Histogram h;
   for (int i = 1000; i <= 1023; ++i) h.record(static_cast<double>(i));
-  for (double q : {0.0, 0.1, 0.5, 0.9, 1.0}) {
+  for (double q : {0.0, 0.1, 0.5, 0.9, 0.99, 1.0}) {
     const double p = h.percentile(q);
     EXPECT_GE(p, 1000.0) << "q=" << q;
     EXPECT_LE(p, 1023.0) << "q=" << q;

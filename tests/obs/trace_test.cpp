@@ -81,13 +81,13 @@ TEST(ObsTraceTest, ConcurrentEmissionFromManyThreads) {
   // Mirrors the runtime shape: every worker owns a track but tracks are
   // registered concurrently, and one shared control track receives
   // instants from everybody. TSan runs this file in CI.
-  constexpr int kThreads = 8;
+  constexpr int kThreadCount = 8;
   constexpr int kEventsPerThread = 2000;
   Tracer tracer;
   const TrackId control = tracer.register_track("tree/control");
 
   std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
+  for (int t = 0; t < kThreadCount; ++t) {
     threads.emplace_back([&tracer, control, t] {
       const TrackId own =
           tracer.register_track("worker" + std::to_string(t));
@@ -100,10 +100,10 @@ TEST(ObsTraceTest, ConcurrentEmissionFromManyThreads) {
   }
   for (auto& t : threads) t.join();
 
-  EXPECT_EQ(tracer.track_count(), 1u + kThreads);
+  EXPECT_EQ(tracer.track_count(), 1u + kThreadCount);
   EXPECT_EQ(tracer.event_count(),
-            static_cast<std::size_t>(kThreads) * kEventsPerThread +
-                static_cast<std::size_t>(kThreads) * (kEventsPerThread / 100));
+            static_cast<std::size_t>(kThreadCount) *
+                (kEventsPerThread + kEventsPerThread / 100));
   // The exporter runs after workers stop; it must see every event.
   const std::string json = tracer.to_chrome_json();
   EXPECT_NE(json.find("worker0"), std::string::npos);

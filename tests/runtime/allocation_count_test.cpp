@@ -4,7 +4,7 @@
 //
 //   - A SamplingNode that samples into a reused output vector allocates
 //     nothing once its buffers have grown.
-//   - A kEvents ConcurrentEdgeTree, whose edges recycle their interval
+//   - A ConcurrentEdgeTree, whose edges recycle their interval
 //     messages, stays under 2 allocations per node-interval.
 //
 // Sanitizer runtimes own operator new, so sanitizer builds leave this
@@ -126,7 +126,6 @@ TEST(AllocationCountTest, EventsTreeStaysUnderTwoPerNodeInterval) {
   runtime::ConcurrentTreeConfig config;
   config.tree.layer_widths = {64, 16, 4};
   config.tree.sampling_fraction = 0.4;
-  config.runtime_mode = runtime::RuntimeMode::kEvents;
   config.event_workers = 2;
   runtime::ConcurrentEdgeTree tree(config);
 

@@ -1,6 +1,6 @@
 // ConcurrentEdgeTree vs the sequential core::EdgeTree.
 //
-// With one runtime worker per node and lossless (kBlock) channels, the
+// With one sampling worker per node and lossless (kBlock) channels, the
 // concurrent runtime must be BIT-IDENTICAL to the sequential tree: same
 // stages, same seeds, same Ψ ordering, therefore the same RNG draws, the
 // same samples, the same weights, the same Θ, the same query answer.
@@ -447,27 +447,6 @@ TEST(ConcurrentTreeTest, CloseWindowDrainsAndClears) {
   EXPECT_EQ(result.sampled_items, 2u);
   EXPECT_TRUE(tree.theta().empty());
   tree.stop();
-}
-
-TEST(ConcurrentTreeTest, MetricsRegistryIsThreadedThrough) {
-  MetricsRegistry registry;
-  EdgeTreeConfig tree_config;
-  tree_config.layer_widths = {2};
-  ConcurrentTreeConfig config;
-  config.tree = tree_config;
-  {
-    ConcurrentEdgeTree tree(config, &registry);
-    const auto workload = make_workload(6, tree.leaf_count(), 3);
-    for (const auto& tick : workload) tree.push_interval(tick);
-    tree.drain();
-    tree.stop();
-  }
-  const auto snap = registry.snapshot();
-  EXPECT_EQ(snap.counters.at("runtime.intervals_pushed"), 6u);
-  EXPECT_EQ(snap.counters.at("runtime.intervals_completed"), 6u);
-  EXPECT_GT(snap.counters.at("runtime.items_ingested"), 0u);
-  EXPECT_EQ(snap.histograms.at("runtime.interval_latency_us").count, 6u);
-  EXPECT_DOUBLE_EQ(snap.gauges.at("runtime.messages_dropped"), 0.0);
 }
 
 TEST(ConcurrentTreeTest, PushAfterStopThrows) {

@@ -1,14 +1,10 @@
-// kEvents vs kThreads: the event-driven runtime must be BIT-IDENTICAL to
-// the thread-per-node oracle — same Θ, same query answer, same wire
-// bytes — because a node task never runs on two workers at once, Ψ is
-// assembled in child order (parking at the first unready input), and
-// every RNG lives in the node's stage. The worker count may only change
-// wall-clock interleaving, never a single sample.
-//
-// Scale: kThreads cannot run a 10k-node tree (one OS thread per node),
-// so the large-tree test pins kEvents to the sequential core::EdgeTree
-// instead — bit-identity is transitive through the threads-mode
-// equivalence the sibling suite already establishes.
+// The event-driven runtime vs the sequential core::EdgeTree oracle: it
+// must be BIT-IDENTICAL — same Θ, same query answer, same per-layer
+// forwarded counts, and wire records that decode to the same Θ — because
+// a node task never runs on two workers at once, Ψ is assembled in child
+// order, and every RNG lives in the node's stage. The worker count may
+// only change wall-clock interleaving, never a single sample, from a
+// 7-node tree on 3 workers up to 11,111 nodes on 8.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -18,6 +14,7 @@
 #include "common/rng.hpp"
 #include "core/control_plane.hpp"
 #include "core/pipeline.hpp"
+#include "core/wire.hpp"
 #include "flowqueue/broker.hpp"
 #include "runtime/concurrent_tree.hpp"
 #include "runtime/flowqueue_bridge.hpp"
@@ -29,8 +26,9 @@ using core::EdgeTree;
 using core::EdgeTreeConfig;
 using core::EngineKind;
 
-/// Deterministic workload, items[tick][leaf] (same shape as the threads
-/// suite's helper: 4 sub-streams, occasionally tiny/empty leaves).
+/// Deterministic workload, items[tick][leaf] (same shape as the
+/// concurrent-tree suite's helper: 4 sub-streams, occasionally tiny/empty
+/// leaves).
 std::vector<std::vector<std::vector<Item>>> make_workload(std::size_t ticks,
                                                           std::size_t leaves,
                                                           std::uint64_t seed) {
@@ -73,14 +71,31 @@ void expect_theta_identical(const core::ThetaStore& oracle,
   }
 }
 
+/// Folds one decoded root record into Θ the way ThetaStore::add folds the
+/// SampledBundle it was encoded from: the encoder writes the sample
+/// stratum by stratum, so each run of one sub-stream's items is one
+/// (W^out, items) pair.
+void fold_into_theta(const core::ItemBundle& bundle,
+                     core::ThetaStore& theta) {
+  auto begin = bundle.items.begin();
+  while (begin != bundle.items.end()) {
+    const SubStreamId id = begin->source;
+    auto end = begin;
+    while (end != bundle.items.end() && end->source == id) ++end;
+    core::WeightedSample pair;
+    pair.weight = bundle.w_in.get(id);
+    pair.items.assign(begin, end);
+    theta.add_pair(id, std::move(pair), bundle.policy_epoch);
+    begin = end;
+  }
+}
+
 ConcurrentTreeConfig runtime_config_for(const EdgeTreeConfig& tree,
-                                        RuntimeMode mode,
                                         std::size_t event_workers) {
   ConcurrentTreeConfig config;
   config.tree = tree;
   config.channel_capacity = 4;  // small enough that parking really happens
   config.backpressure = BackpressurePolicy::kBlock;
-  config.runtime_mode = mode;
   config.event_workers = event_workers;
   return config;
 }
@@ -88,7 +103,7 @@ ConcurrentTreeConfig runtime_config_for(const EdgeTreeConfig& tree,
 class EventsEngineEquivalenceTest
     : public ::testing::TestWithParam<EngineKind> {};
 
-TEST_P(EventsEngineEquivalenceTest, EventsModeIsBitIdenticalToThreadsMode) {
+TEST_P(EventsEngineEquivalenceTest, EventsTreeIsBitIdenticalToEdgeTree) {
   EdgeTreeConfig tree_config;
   tree_config.layer_widths = {4, 2};
   tree_config.engine = GetParam();
@@ -97,44 +112,40 @@ TEST_P(EventsEngineEquivalenceTest, EventsModeIsBitIdenticalToThreadsMode) {
 
   // 7 nodes multiplexed over 3 workers: tasks genuinely park, resume and
   // migrate between workers mid-run.
-  ConcurrentEdgeTree oracle(
-      runtime_config_for(tree_config, RuntimeMode::kThreads, 0));
-  ConcurrentEdgeTree events(
-      runtime_config_for(tree_config, RuntimeMode::kEvents, 3));
+  EdgeTree sequential(tree_config);
+  ConcurrentEdgeTree events(runtime_config_for(tree_config, 3));
   EXPECT_EQ(events.node_count(), 7u);
 
-  const auto workload = make_workload(24, oracle.leaf_count(), 77);
+  const auto workload = make_workload(24, sequential.leaf_count(), 77);
   for (const auto& tick : workload) {
-    oracle.push_interval(tick);
+    sequential.tick(tick);
     events.push_interval(tick);
   }
-  oracle.drain();
   events.drain();
 
-  const auto oracle_metrics = oracle.metrics();
+  const auto seq_metrics = sequential.metrics();
   const auto event_metrics = events.metrics();
-  EXPECT_EQ(oracle_metrics.items_ingested, event_metrics.items_ingested);
-  EXPECT_EQ(oracle_metrics.items_at_root, event_metrics.items_at_root);
-  ASSERT_EQ(oracle_metrics.items_forwarded_per_layer.size(),
+  EXPECT_EQ(seq_metrics.items_ingested, event_metrics.items_ingested);
+  EXPECT_EQ(seq_metrics.items_at_root, event_metrics.items_at_root);
+  ASSERT_EQ(seq_metrics.items_forwarded_per_layer.size(),
             event_metrics.items_forwarded_per_layer.size());
-  for (std::size_t l = 0;
-       l < oracle_metrics.items_forwarded_per_layer.size(); ++l) {
-    EXPECT_EQ(oracle_metrics.items_forwarded_per_layer[l],
+  for (std::size_t l = 0; l < seq_metrics.items_forwarded_per_layer.size();
+       ++l) {
+    EXPECT_EQ(seq_metrics.items_forwarded_per_layer[l],
               event_metrics.items_forwarded_per_layer[l]);
   }
   EXPECT_EQ(event_metrics.messages_dropped, 0u);
   EXPECT_EQ(event_metrics.intervals_completed, workload.size());
 
-  const auto oracle_result = oracle.run_query();
+  const auto seq_result = sequential.run_query();
   const auto event_result = events.run_query();
-  EXPECT_EQ(oracle_result.sum.point, event_result.sum.point);
-  EXPECT_EQ(oracle_result.sum.margin, event_result.sum.margin);
-  EXPECT_EQ(oracle_result.sampled_items, event_result.sampled_items);
-  EXPECT_EQ(oracle_result.estimated_count, event_result.estimated_count);
+  EXPECT_EQ(seq_result.sum.point, event_result.sum.point);
+  EXPECT_EQ(seq_result.sum.margin, event_result.sum.margin);
+  EXPECT_EQ(seq_result.sampled_items, event_result.sampled_items);
+  EXPECT_EQ(seq_result.estimated_count, event_result.estimated_count);
 
-  oracle.stop();
   events.stop();
-  expect_theta_identical(oracle.theta(), events.theta());
+  expect_theta_identical(sequential.theta(), events.theta());
 }
 
 INSTANTIATE_TEST_SUITE_P(AllEngines, EventsEngineEquivalenceTest,
@@ -152,8 +163,7 @@ TEST(EventsTreeTest, WorkerCountNeverChangesTheOutput) {
     tree_config.engine = EngineKind::kApproxIoT;
     tree_config.sampling_fraction = 0.35;
     tree_config.rng_seed = 1234;
-    ConcurrentEdgeTree tree(
-        runtime_config_for(tree_config, RuntimeMode::kEvents, event_workers));
+    ConcurrentEdgeTree tree(runtime_config_for(tree_config, event_workers));
     const auto workload = make_workload(16, tree.leaf_count(), 9);
     for (const auto& tick : workload) tree.push_interval(tick);
     tree.drain();
@@ -168,10 +178,9 @@ TEST(EventsTreeTest, WorkerCountNeverChangesTheOutput) {
 }
 
 TEST(EventsTreeTest, TenThousandNodeTreeMatchesSequentialEdgeTree) {
-  // The tentpole scale claim: 11'111 logical nodes in ONE process on an
-  // 8-worker pool — impossible under kThreads (11k OS threads) — and
-  // still bit-identical to the sequential reference, interval for
-  // interval. Workload is kept tiny (one item per leaf per tick) so the
+  // The scale claim: 11'111 logical nodes in ONE process on an 8-worker
+  // pool — one OS thread per node would need 11k of them — and still
+  // bit-identical to the sequential reference, interval for interval. Workload is kept tiny (one item per leaf per tick) so the
   // run is dominated by scheduling, which is exactly what is under test.
   EdgeTreeConfig tree_config;
   tree_config.layer_widths = {10000, 1000, 100, 10};
@@ -180,8 +189,7 @@ TEST(EventsTreeTest, TenThousandNodeTreeMatchesSequentialEdgeTree) {
   tree_config.rng_seed = 31337;
 
   EdgeTree sequential(tree_config);
-  ConcurrentEdgeTree events(
-      runtime_config_for(tree_config, RuntimeMode::kEvents, 8));
+  ConcurrentEdgeTree events(runtime_config_for(tree_config, 8));
   EXPECT_EQ(events.node_count(), 11111u);
 
   constexpr std::size_t kTicks = 3;
@@ -212,58 +220,52 @@ TEST(EventsTreeTest, TenThousandNodeTreeMatchesSequentialEdgeTree) {
   EXPECT_EQ(seq_result.sum.margin, event_result.sum.margin);
 }
 
-TEST(EventsTreeTest, WireBytesIdenticalAcrossRuntimeModes) {
-  // The acceptance bar verbatim: not just equal Θ but equal BYTES on the
-  // wire. Both modes publish their root output through a FlowQueueSink;
-  // the topics' raw record payloads must match one for one.
+TEST(EventsTreeTest, WireRecordsDecodeToTheSequentialTheta) {
+  // The root's output as it leaves the process: every record a
+  // FlowQueueSink published, decoded and folded into a fresh Θ, must be
+  // the sequential tree's Θ pair for pair. (That equal bundles encode to
+  // equal bytes is pinned by the wire tests.)
+  EdgeTreeConfig tree_config;
+  tree_config.layer_widths = {4, 2};
+  tree_config.engine = EngineKind::kApproxIoT;
+  tree_config.sampling_fraction = 0.4;
+  tree_config.rng_seed = 808;
+
   flowqueue::Broker broker;
-  auto run = [&broker](RuntimeMode mode, const std::string& topic) {
-    FlowQueueSink sink(broker, topic);
-    EdgeTreeConfig tree_config;
-    tree_config.layer_widths = {4, 2};
-    tree_config.engine = EngineKind::kApproxIoT;
-    tree_config.sampling_fraction = 0.4;
-    tree_config.rng_seed = 808;
-    ConcurrentTreeConfig config =
-        runtime_config_for(tree_config, mode, mode == RuntimeMode::kEvents
-                                                  ? 3
-                                                  : 0);
-    config.root_tap = sink.as_root_tap();
-    ConcurrentEdgeTree tree(config);
-    const auto workload = make_workload(12, tree.leaf_count(), 21);
-    for (const auto& tick : workload) tree.push_interval(tick);
-    tree.drain();
-    tree.stop();
-    return sink.bundles_published();
-  };
+  FlowQueueSink sink(broker, "wire-events");
+  ConcurrentTreeConfig config = runtime_config_for(tree_config, 3);
+  config.root_tap = sink.as_root_tap();
+  EdgeTree sequential(tree_config);
+  ConcurrentEdgeTree events(config);
+  const auto workload = make_workload(12, sequential.leaf_count(), 21);
+  for (const auto& tick : workload) {
+    sequential.tick(tick);
+    events.push_interval(tick);
+  }
+  events.drain();
+  events.stop();
+  ASSERT_GT(sink.bundles_published(), 0u);
+  EXPECT_EQ(sink.publish_errors(), 0u);
 
-  const auto oracle_published = run(RuntimeMode::kThreads, "wire-threads");
-  const auto event_published = run(RuntimeMode::kEvents, "wire-events");
-  EXPECT_EQ(oracle_published, event_published);
-  ASSERT_GT(event_published, 0u);
-
-  auto* oracle_topic = broker.topic("wire-threads").value();
-  auto* event_topic = broker.topic("wire-events").value();
-  ASSERT_EQ(oracle_topic->record_count(), event_topic->record_count());
-  ASSERT_EQ(oracle_topic->partition_count(), event_topic->partition_count());
-  for (std::uint32_t p = 0; p < oracle_topic->partition_count(); ++p) {
-    std::vector<flowqueue::Record> oracle_records;
-    std::vector<flowqueue::Record> event_records;
-    oracle_topic->partition(p).read(0, 1 << 20, oracle_records);
-    event_topic->partition(p).read(0, 1 << 20, event_records);
-    ASSERT_EQ(oracle_records.size(), event_records.size());
-    for (std::size_t r = 0; r < oracle_records.size(); ++r) {
-      EXPECT_EQ(oracle_records[r].key, event_records[r].key);
-      EXPECT_EQ(oracle_records[r].value, event_records[r].value)
-          << "payload bytes diverge at record " << r;
+  auto* topic = broker.topic("wire-events").value();
+  ASSERT_EQ(topic->record_count(), sink.bundles_published());
+  core::ThetaStore decoded_theta;
+  for (std::uint32_t p = 0; p < topic->partition_count(); ++p) {
+    std::vector<flowqueue::Record> records;
+    topic->partition(p).read(0, 1 << 20, records);
+    for (const flowqueue::Record& record : records) {
+      auto decoded = core::decode_bundle(record.value);
+      ASSERT_TRUE(decoded.is_ok());
+      fold_into_theta(decoded.value(), decoded_theta);
     }
   }
+  expect_theta_identical(sequential.theta(), decoded_theta);
 }
 
 TEST(EventsTreeTest, PooledExecutorComposesWithEventsMode) {
   // workers_per_node > 1 shards each node's reservoirs over a
-  // PooledSamplingExecutor; under kEvents the node *tasks* also share a
-  // scheduler pool. Samples legitimately differ from 1-worker runs, but
+  // PooledSamplingExecutor while the node *tasks* share the scheduler
+  // pool. Samples legitimately differ from 1-worker runs, but
   // Eq. 8 must keep every sub-stream's estimated original count exact.
   EdgeTreeConfig tree_config;
   tree_config.layer_widths = {4, 2};
@@ -271,8 +273,7 @@ TEST(EventsTreeTest, PooledExecutorComposesWithEventsMode) {
   tree_config.sampling_fraction = 0.5;
   tree_config.rng_seed = 4242;
 
-  ConcurrentTreeConfig config =
-      runtime_config_for(tree_config, RuntimeMode::kEvents, 3);
+  ConcurrentTreeConfig config = runtime_config_for(tree_config, 3);
   config.workers_per_node = 4;
   ConcurrentEdgeTree tree(config);
 
@@ -317,7 +318,6 @@ TEST(EventsTreeChaosTest, WakeStormsAndConcurrentControlChangeNothing) {
   config.tree = tree_config;
   config.channel_capacity = 1;  // overload: drops genuinely happen
   config.backpressure = BackpressurePolicy::kDropNewest;
-  config.runtime_mode = RuntimeMode::kEvents;
   config.event_workers = 4;
   ConcurrentEdgeTree tree(config);
 
@@ -371,9 +371,7 @@ TEST(EventsTreeTest, StopWithNothingPushedTerminates) {
   EdgeTreeConfig tree_config;
   tree_config.layer_widths = {16, 4};
   tree_config.engine = EngineKind::kNative;
-  ConcurrentTreeConfig config =
-      runtime_config_for(tree_config, RuntimeMode::kEvents, 2);
-  ConcurrentEdgeTree tree(config);
+  ConcurrentEdgeTree tree(runtime_config_for(tree_config, 2));
   tree.stop();
   EXPECT_EQ(tree.metrics().intervals_completed, 0u);
 }

@@ -1,127 +1,125 @@
-// MetricsRegistry: counters/gauges/histograms, concurrent updates, and
-// the snapshot/JSON surface the bench harness consumes.
+// The runtime's reporting surfaces: ConcurrentEdgeTree::metrics() for its
+// counters, and the bound obs::StatsRegistry for the interval latency.
 #include <gtest/gtest.h>
 
-#include <thread>
+#include <cstdint>
 #include <vector>
 
-#include "runtime/metrics.hpp"
+#include "common/rng.hpp"
+#include "obs/stats.hpp"
+#include "runtime/concurrent_tree.hpp"
 
 namespace approxiot::runtime {
 namespace {
 
-TEST(MetricsTest, CounterAndGaugeBasics) {
-  MetricsRegistry registry;
-  registry.counter("a").increment();
-  registry.counter("a").increment(9);
-  registry.gauge("g").set(2.5);
-  EXPECT_EQ(registry.counter("a").value(), 10u);
-  EXPECT_DOUBLE_EQ(registry.gauge("g").value(), 2.5);
-}
-
-TEST(MetricsTest, RegistryReturnsStableReferences) {
-  MetricsRegistry registry;
-  Counter& first = registry.counter("x");
-  Counter& again = registry.counter("x");
-  EXPECT_EQ(&first, &again);
-}
-
-TEST(MetricsTest, ConcurrentCounterIncrementsAreLossless) {
-  MetricsRegistry registry;
-  Counter& counter = registry.counter("hits");
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&counter] {
-      for (int i = 0; i < 10000; ++i) counter.increment();
-    });
+/// `ticks` intervals of random items over 4 sub-streams, sharded across
+/// `leaves`. Returns items[tick][leaf].
+std::vector<std::vector<std::vector<Item>>> make_workload(std::size_t ticks,
+                                                          std::size_t leaves,
+                                                          std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::vector<std::vector<Item>>> workload(ticks);
+  for (std::size_t t = 0; t < ticks; ++t) {
+    workload[t].resize(leaves);
+    for (std::size_t leaf = 0; leaf < leaves; ++leaf) {
+      const std::size_t n = 20 + rng.next_below(100);
+      for (std::size_t i = 0; i < n; ++i) {
+        workload[t][leaf].push_back(Item{SubStreamId{1 + rng.next_below(4)},
+                                         rng.next_double() * 10.0,
+                                         static_cast<std::int64_t>(t) * 1000});
+      }
+    }
   }
-  for (auto& t : threads) t.join();
-  EXPECT_EQ(counter.value(), 40000u);
+  return workload;
 }
 
-TEST(MetricsTest, HistogramTracksCountSumMeanMax) {
-  Histogram h;
-  for (double v : {1.0, 2.0, 3.0, 4.0, 10.0}) h.record(v);
-  EXPECT_EQ(h.count(), 5u);
-  EXPECT_DOUBLE_EQ(h.sum(), 20.0);
-  EXPECT_DOUBLE_EQ(h.mean(), 4.0);
-  EXPECT_DOUBLE_EQ(h.max_value(), 10.0);
-}
-
-TEST(MetricsTest, HistogramPercentilesAreOrderedAndBounded) {
-  Histogram h;
-  for (int i = 1; i <= 1000; ++i) h.record(static_cast<double>(i));
-  const double p50 = h.percentile(0.50);
-  const double p99 = h.percentile(0.99);
-  EXPECT_LE(p50, p99);
-  EXPECT_LE(p99, h.max_value());
-  // Exponential buckets give ~2x resolution; p50 of U[1,1000] is ~500.
-  EXPECT_GT(p50, 250.0);
-  EXPECT_LT(p50, 1024.0);
-  EXPECT_GT(p99, 500.0);
-  EXPECT_DOUBLE_EQ(h.percentile(0.0), h.min_value());
-  EXPECT_DOUBLE_EQ(h.percentile(1.0), h.max_value());
-}
-
-TEST(MetricsTest, EmptyHistogramIsZero) {
-  Histogram h;
-  EXPECT_EQ(h.count(), 0u);
-  EXPECT_DOUBLE_EQ(h.mean(), 0.0);
-  EXPECT_DOUBLE_EQ(h.percentile(0.99), 0.0);
-  EXPECT_DOUBLE_EQ(h.percentile(0.0), 0.0);
-  EXPECT_DOUBLE_EQ(h.percentile(1.0), 0.0);
-}
-
-TEST(MetricsTest, SingleSampleHistogramReturnsThatSampleAtEveryQuantile) {
-  Histogram h;
-  h.record(42.0);
-  EXPECT_DOUBLE_EQ(h.percentile(0.0), 42.0);
-  EXPECT_DOUBLE_EQ(h.percentile(0.5), 42.0);
-  EXPECT_DOUBLE_EQ(h.percentile(0.99), 42.0);
-  EXPECT_DOUBLE_EQ(h.percentile(1.0), 42.0);
-}
-
-TEST(MetricsTest, AllSamplesInOneBucketStayWithinObservedRange) {
-  // 1000..1023 all land in the same base-2 bucket (512, 1024]. Every
-  // quantile must stay inside [min, max] — the old implementation
-  // interpolated across the whole bucket and could report values below
-  // the smallest recorded sample.
-  Histogram h;
-  for (int i = 1000; i <= 1023; ++i) h.record(static_cast<double>(i));
-  for (double q : {0.0, 0.1, 0.5, 0.9, 0.99, 1.0}) {
-    const double p = h.percentile(q);
-    EXPECT_GE(p, 1000.0) << "q=" << q;
-    EXPECT_LE(p, 1023.0) << "q=" << q;
+std::uint64_t item_count(
+    const std::vector<std::vector<std::vector<Item>>>& workload) {
+  std::uint64_t total = 0;
+  for (const auto& tick : workload) {
+    for (const auto& leaf : tick) total += leaf.size();
   }
+  return total;
 }
 
-TEST(MetricsTest, PercentileIsClampedToMinEvenBelowBucketBoundary) {
-  // A lone small value in the first bucket: quantiles must never report
-  // below it (the bucket's nominal range starts at 0).
-  Histogram h;
-  h.record(0.25);
-  h.record(0.75);
-  EXPECT_GE(h.percentile(0.01), 0.25);
-  EXPECT_LE(h.percentile(0.99), 0.75);
+TEST(MetricsTest, CountersAndIntervalLatencyAreReported) {
+  obs::StatsRegistry registry;
+  ConcurrentTreeConfig config;
+  config.tree.layer_widths = {2};
+  config.stats = &registry;
+  ConcurrentEdgeTree tree(config);
+  const auto workload = make_workload(6, tree.leaf_count(), 3);
+  for (const auto& tick : workload) tree.push_interval(tick);
+  tree.drain();
+  tree.stop();
+
+  const auto metrics = tree.metrics();
+  EXPECT_EQ(metrics.intervals_pushed, 6u);
+  EXPECT_EQ(metrics.intervals_completed, 6u);
+  EXPECT_EQ(metrics.items_ingested, item_count(workload));
+  EXPECT_EQ(metrics.messages_dropped, 0u);
+#ifndef APPROXIOT_NO_STATS
+  // One latency sample per interval, under a name outside the per-node
+  // "tree/root" and "tree/L..." scopes.
+  const auto snap = registry.snapshot();
+  EXPECT_EQ(snap.histograms.at("tree/interval_latency_us").count, 6u);
+#endif
 }
 
-TEST(MetricsTest, SnapshotAndJsonIncludeEveryMetric) {
-  MetricsRegistry registry;
-  registry.counter("items").increment(3);
-  registry.gauge("fraction").set(0.4);
-  registry.histogram("latency_us").record(100.0);
+TEST(MetricsTest, CountersNeedNoStatsRegistry) {
+  ConcurrentTreeConfig config;
+  config.tree.layer_widths = {4, 2};
+  config.tree.sampling_fraction = 0.5;
+  ASSERT_EQ(config.stats, nullptr);
+  ConcurrentEdgeTree tree(config);
+  const auto workload = make_workload(5, tree.leaf_count(), 11);
+  for (const auto& tick : workload) tree.push_interval(tick);
+  tree.drain();
+  tree.stop();
 
-  const MetricsSnapshot snap = registry.snapshot();
-  EXPECT_EQ(snap.counters.at("items"), 3u);
-  EXPECT_DOUBLE_EQ(snap.gauges.at("fraction"), 0.4);
-  EXPECT_EQ(snap.histograms.at("latency_us").count, 1u);
+  const auto metrics = tree.metrics();
+  EXPECT_EQ(metrics.intervals_pushed, 5u);
+  EXPECT_EQ(metrics.intervals_completed, 5u);
+  EXPECT_EQ(metrics.items_ingested, item_count(workload));
+  EXPECT_EQ(metrics.messages_dropped, 0u);
+  // One entry per edge layer (the root is not counted); sampling only
+  // thins the stream on its way up, and with lossless edges the root
+  // receives exactly what the last edge layer forwarded.
+  ASSERT_EQ(metrics.items_forwarded_per_layer.size(), 2u);
+  EXPECT_GT(metrics.items_forwarded_per_layer[0], 0u);
+  EXPECT_LE(metrics.items_forwarded_per_layer[0], metrics.items_ingested);
+  EXPECT_LE(metrics.items_forwarded_per_layer[1],
+            metrics.items_forwarded_per_layer[0]);
+  EXPECT_EQ(metrics.items_at_root, metrics.items_forwarded_per_layer[1]);
+}
 
-  const std::string json = snap.to_json();
-  EXPECT_NE(json.find("\"items\":3"), std::string::npos);
-  EXPECT_NE(json.find("\"fraction\":0.4"), std::string::npos);
-  EXPECT_NE(json.find("\"latency_us\""), std::string::npos);
-  EXPECT_EQ(json.front(), '{');
-  EXPECT_EQ(json.back(), '}');
+TEST(MetricsTest, IntervalLatencyCountsOnlyCompletedIntervals) {
+  obs::StatsRegistry registry;
+  ConcurrentTreeConfig config;
+  config.tree.layer_widths = {2};
+  config.stats = &registry;
+  ConcurrentEdgeTree tree(config);
+  const auto workload = make_workload(4, tree.leaf_count(), 7);
+  tree.push_interval(workload[0]);
+  tree.push_interval(workload[1]);
+  tree.drain();
+  const auto first = tree.metrics();
+  EXPECT_EQ(first.intervals_completed, 2u);
+#ifndef APPROXIOT_NO_STATS
+  EXPECT_EQ(registry.snapshot().histograms.at("tree/interval_latency_us").count,
+            2u);
+#endif
+  tree.push_interval(workload[2]);
+  tree.push_interval(workload[3]);
+  tree.drain();
+  tree.stop();
+  EXPECT_EQ(tree.metrics().intervals_completed, 4u);
+#ifndef APPROXIOT_NO_STATS
+  const auto latency =
+      registry.snapshot().histograms.at("tree/interval_latency_us");
+  EXPECT_EQ(latency.count, 4u);
+  EXPECT_GE(latency.min, 0.0);
+#endif
 }
 
 }  // namespace
