@@ -1,38 +1,26 @@
 // Runtime scaling bench: throughput and interval latency of the
-// ConcurrentEdgeTree as within-node workers grow (1/2/4/8), for the WHS
-// (ApproxIoT) and SRS engines on the paper's 4-2-1 testbed shape —
-// followed by a node-count sweep (100/1k/10k logical nodes) on a fixed
-// 8-worker JobScheduler pool.
+// ConcurrentEdgeTree for the WHS (ApproxIoT) and SRS engines on the
+// paper's 4-2-1 testbed shape, followed by a node-count sweep (100/1k/10k
+// logical nodes) on a fixed 8-worker JobScheduler pool.
 //
-// Two effects stack here: layers always pipeline (every node is its own
-// scheduler task), and workers_per_node shards each WHS node's
-// reservoirs (§III-E, no coordination while items flow) on one shared
-// PooledSamplingExecutor.
-// SRS ignores the per-node worker count, so its row doubles as the
-// pipelining-only baseline.
-//
-// The executor's shard workers are created once, with the tree: the
-// per-interval path never constructs a thread, and the sharded lane
-// skips the sequential path's stratify copy and merges by moving one
-// contiguous buffer. Multi-worker throughput must therefore be >= the
-// 1-worker row even on a single core (the old per-interval spawn/join
-// regression this bench was built to expose — ROADMAP item, now fixed);
-// on multi-core hardware the shards additionally run in parallel.
+// Every node is its own scheduler task, so layers always pipeline; a WHS
+// node samples with its own WHSampler on the task that runs it.
 //
 // Each configuration runs `reps` times and the best-throughput rep is
 // reported (with its latency snapshot): background activity only ever
 // slows a rep down, so best-of-N strips scheduler noise without biasing
-// the comparison between worker counts. Reps are interleaved across the
-// worker counts (1,2,4,8, 1,2,4,8, ...) so slow machine windows —
+// the comparison. Reps are interleaved across the configurations
+// (ApproxIoT, SRS, ApproxIoT, SRS, ...) so slow machine windows —
 // frequency scaling, noisy neighbours — hit every configuration alike
 // instead of whichever one happened to be running.
 //
 // Latency is push_interval to root completion, read from the tree's
 // "tree/interval_latency_us" histogram.
 //
-// Output: the human-readable table plus one JSON line per engine in the
+// Output: the human-readable tables plus one JSON line per engine in the
 // shared bench_util shape. `--smoke` shrinks the run for CI.
 #include <chrono>
+#include <cstdio>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -58,8 +46,7 @@ struct TreeShape {
 };
 
 RunResult run_shape(core::EngineKind engine, const TreeShape& shape,
-                    std::size_t workers_per_node, std::size_t intervals,
-                    std::size_t items_per_leaf) {
+                    std::size_t intervals, std::size_t items_per_leaf) {
   obs::StatsRegistry registry;
   runtime::ConcurrentTreeConfig config;
   config.tree.layer_widths = shape.layer_widths;
@@ -67,7 +54,6 @@ RunResult run_shape(core::EngineKind engine, const TreeShape& shape,
   config.tree.sampling_fraction = 0.4;
   config.tree.rng_seed = 20180701;
   config.channel_capacity = 8;
-  config.workers_per_node = workers_per_node;
   config.event_workers = shape.event_workers;
   config.stats = &registry;
   runtime::ConcurrentEdgeTree tree(config);
@@ -105,13 +91,6 @@ RunResult run_shape(core::EngineKind engine, const TreeShape& shape,
   return result;
 }
 
-RunResult run_once(core::EngineKind engine, std::size_t workers,
-                   std::size_t intervals, std::size_t items_per_leaf) {
-  TreeShape shape;
-  shape.layer_widths = {4, 2};
-  return run_shape(engine, shape, workers, intervals, items_per_leaf);
-}
-
 /// Node-count sweep topologies: ~10x per step, widths decreasing by the
 /// tree-config rule (non-increasing towards the root), total node count
 /// (incl. root) just over the nominal x value.
@@ -147,43 +126,43 @@ int main(int argc, char** argv) {
   const std::size_t intervals = smoke ? 5 : 40;
   const std::size_t items_per_leaf = smoke ? 2000 : 25000;
   const int reps = smoke ? 2 : 3;
-  const std::vector<int> worker_counts = {1, 2, 4, 8};
+
+  // --- the paper's 4-2-1 testbed tree, once per engine ---
+  const std::vector<core::EngineKind> engines = {core::EngineKind::kApproxIoT,
+                                                 core::EngineKind::kSrs};
+  TreeShape testbed;
+  testbed.layer_widths = {4, 2};
+  const int testbed_nodes = 7;
 
   bench::print_header("runtime scaling: ConcurrentEdgeTree",
                       "4-2-1 tree, fraction 0.4, " +
                           std::to_string(intervals) + " intervals x " +
                           std::to_string(4 * items_per_leaf) +
                           " items");
-  bench::print_cols("workers/node", worker_counts);
+  std::printf("%-24s%12s%12s%12s\n", "engine", "items/s", "p50 us",
+              "p99 us");
 
-  for (core::EngineKind engine :
-       {core::EngineKind::kApproxIoT, core::EngineKind::kSrs}) {
-    std::vector<RunResult> best(worker_counts.size());
-    for (int rep = 0; rep < reps; ++rep) {
-      for (std::size_t w = 0; w < worker_counts.size(); ++w) {
-        const RunResult r = run_once(
-            engine, static_cast<std::size_t>(worker_counts[w]), intervals,
-            items_per_leaf);
-        if (r.throughput_items_per_s > best[w].throughput_items_per_s) {
-          best[w] = r;
-        }
+  std::vector<RunResult> best(engines.size());
+  for (int rep = 0; rep < reps; ++rep) {
+    for (std::size_t e = 0; e < engines.size(); ++e) {
+      const RunResult r =
+          run_shape(engines[e], testbed, intervals, items_per_leaf);
+      if (r.throughput_items_per_s > best[e].throughput_items_per_s) {
+        best[e] = r;
       }
     }
-    std::vector<double> throughput, p50, p99;
-    for (const RunResult& r : best) {
-      throughput.push_back(r.throughput_items_per_s);
-      p50.push_back(r.p50_us);
-      p99.push_back(r.p99_us);
-    }
-    const std::string name = core::engine_kind_name(engine);
-    bench::print_row(name + " items/s", throughput, "%12.0f");
-    bench::print_row(name + " p50 us", p50, "%12.1f");
-    bench::print_row(name + " p99 us", p99, "%12.1f");
-    bench::print_json_result("runtime_scaling", name, "workers",
-                             worker_counts,
-                             {{"throughput_items_per_s", throughput},
-                              {"latency_p50_us", p50},
-                              {"latency_p99_us", p99}});
+  }
+  for (std::size_t e = 0; e < engines.size(); ++e) {
+    const RunResult& r = best[e];
+    const std::string name = core::engine_kind_name(engines[e]);
+    std::printf("%-24s%12.0f%12.1f%12.1f\n", name.c_str(),
+                r.throughput_items_per_s, r.p50_us, r.p99_us);
+    bench::print_json_result("runtime_scaling", name, "nodes",
+                             {testbed_nodes},
+                             {{"throughput_items_per_s",
+                               {r.throughput_items_per_s}},
+                              {"latency_p50_us", {r.p50_us}},
+                              {"latency_p99_us", {r.p99_us}}});
   }
 
   // --- node-count sweep on a fixed 8-worker pool ---
@@ -210,7 +189,7 @@ int main(int argc, char** argv) {
       TreeShape shape = nodes_shape(node_counts[n]);
       shape.event_workers = kEventWorkers;
       const RunResult r =
-          run_shape(core::EngineKind::kApproxIoT, shape, 1, node_intervals,
+          run_shape(core::EngineKind::kApproxIoT, shape, node_intervals,
                     node_items_per_leaf);
       if (r.throughput_items_per_s > best_nodes[n].throughput_items_per_s) {
         best_nodes[n] = r;

@@ -26,9 +26,6 @@ int main(int argc, char** argv) {
   config.tree.rng_seed = 42;
   config.channel_capacity = 8;             // intervals in flight per edge
   config.backpressure = runtime::BackpressurePolicy::kBlock;
-  // §III-E reservoir sharding: all nodes share one persistent
-  // PooledSamplingExecutor (workers created once, with the tree).
-  config.workers_per_node = 2;
   config.stats = &registry;
   runtime::ConcurrentEdgeTree tree(config);
 

@@ -10,8 +10,8 @@
 // and enumerable: the xoshiro256** words (plus the gaussian cache), the
 // per-node WeightMap, the cost-function EWMA, the SRS counters, the
 // snapshot node's interval phase, and the policy epoch — everything else
-// (reservoir buffers, stratification arenas, shard groups) is rearmed
-// from scratch each call and carries nothing forward.
+// (reservoir buffers, stratification arenas) is rearmed from scratch each
+// call and carries nothing forward.
 //
 // Format: one flat byte stream over the flowqueue serde primitives
 // (varint / fixed64 / IEEE double), headed by a magic byte (0xC4), a

@@ -51,9 +51,9 @@ struct SamplingPolicy {
   PolicyEpoch epoch{0};
   ResourceBudget budget{};
   /// WHSamp knobs recorded with the policy so a snapshot is a complete
-  /// description of the sampling configuration. Structural: lanes are
-  /// built from the epoch-0 values; a live epoch cannot re-shard
-  /// reservoirs or swap the allocation policy of existing lanes.
+  /// description of the sampling configuration. Structural: samplers are
+  /// built from the epoch-0 values; a live epoch cannot swap the
+  /// reservoir algorithm or allocation policy of existing samplers.
   WHSampConfig whsamp{};
 };
 

@@ -8,23 +8,19 @@
 
 namespace approxiot::core {
 
+namespace {
+
+/// Lane tag written before the sampler's RNG state (part of the
+/// checkpoint format). 1 is the sequential WHSampler, the only lane; any
+/// other tag, such as 2 from the former sharded lane, is refused.
+constexpr std::uint64_t kSequentialLaneTag = 1;
+
+}  // namespace
+
 SamplingNode::SamplingNode(NodeConfig config)
     : config_(std::move(config)),
-      cost_function_(make_cost_function(config_.cost_function)) {
-  SamplingExecutor* executor = config_.executor.get();
-  if (executor == nullptr && config_.parallel_workers > 1) {
-    // No shared runtime to ride on: the node owns a private pool.
-    owned_executor_ = PooledSamplingExecutor::for_seed(
-        config_.parallel_workers, config_.rng_seed);
-    executor = owned_executor_.get();
-  }
-  if (executor == nullptr) executor = &sequential_executor();
-  // Constraint checking is the executor's job (e.g. the pooled lane
-  // rejects Algorithm L with >1 worker at create_lane time) — it cannot
-  // be bypassed there, and the node stays agnostic to which constraints
-  // a given execution substrate has.
-  lane_ = executor->create_lane(Rng(config_.rng_seed), config_.whsamp);
-}
+      sampler_(Rng(config_.rng_seed), config_.whsamp),
+      cost_function_(make_cost_function(config_.cost_function)) {}
 
 void SamplingNode::process_interval(const std::vector<ItemBundle>& psi,
                                     std::vector<SampledBundle>& out) {
@@ -68,8 +64,8 @@ void SamplingNode::process_interval(const std::vector<ItemBundle>& psi,
                   static_cast<double>(psi_items))
             : size;
     // Stratify once, here: the batch (a reused flat arena) feeds both
-    // the fairness floor below and the lane's span-based sampling — no
-    // second stratification pass inside the lane.
+    // the fairness floor below and the sampler's span-based path — no
+    // second stratification pass inside the sampler.
     strata_scratch_.assign(bundle.items);
 
     // Fairness floor: stratification promises every sub-stream at least
@@ -89,8 +85,8 @@ void SamplingNode::process_interval(const std::vector<ItemBundle>& psi,
     remembered_weights_.update_from(bundle.w_in);
 
     SampledBundle& sampled = output_slot(out, produced++);
-    lane_->sample_strata(strata_scratch_, pair_budget, remembered_weights_,
-                         sampled);
+    sampler_.sample_strata(strata_scratch_, pair_budget, remembered_weights_,
+                           sampled);
     sampled.policy_epoch = policy_epoch_;
     metrics_.items_out += sampled.item_count();
   }
@@ -113,7 +109,8 @@ void SamplingNode::save_state(CheckpointWriter& writer) const {
   writer.put_u64(last_interval_items_);
   writer.put_u64(policy_epoch_);
   writer.put_weight_map(remembered_weights_);
-  lane_->save_state(writer);
+  writer.put_u64(kSequentialLaneTag);
+  writer.put_rng(sampler_.rng_state());
 }
 
 void SamplingNode::restore_state(CheckpointReader& reader) {
@@ -125,7 +122,12 @@ void SamplingNode::restore_state(CheckpointReader& reader) {
   last_interval_items_ = reader.get_u64();
   policy_epoch_ = reader.get_u64();
   reader.get_weight_map(remembered_weights_);
-  lane_->restore_state(reader);
+  if (reader.get_u64() != kSequentialLaneTag) {
+    throw CheckpointError(
+        "checkpoint: lane type mismatch (snapshot is not from a "
+        "sequential lane)");
+  }
+  sampler_.set_rng_state(reader.get_rng());
 }
 
 RootNode::RootNode(NodeConfig config) : node_(std::move(config)) {}

@@ -25,7 +25,6 @@
 #include "core/control_plane.hpp"
 #include "core/cost_function.hpp"
 #include "core/error.hpp"
-#include "core/executor.hpp"
 #include "core/theta_store.hpp"
 #include "core/whsamp.hpp"
 
@@ -41,17 +40,6 @@ struct NodeConfig {
   std::string cost_function{"fraction"};
   WHSampConfig whsamp{};
   std::uint64_t rng_seed{0x5eed5eedULL};
-  /// Workers sharding each sub-stream's reservoir (§III-E) when no
-  /// `executor` handle is given: 1 keeps the sequential WHSampler path;
-  /// >1 makes the node own a private PooledSamplingExecutor (any
-  /// allocation policy; Algorithm R reservoirs only). Ignored when
-  /// `executor` is set.
-  std::size_t parallel_workers{1};
-  /// Execution substrate for the node's sampling. Null -> sequential (or
-  /// a private pool, see parallel_workers). Runtimes that host many
-  /// nodes (ConcurrentEdgeTree, streams topologies) share one executor
-  /// here so every node's shards run on the same persistent worker pool.
-  std::shared_ptr<SamplingExecutor> executor{};
   /// Live control plane view (§IV-B). When bound, the node resolves its
   /// budget through this handle at every interval boundary — the policy
   /// wins over the frozen `budget` above — and stamps its outputs with
@@ -102,12 +90,6 @@ class SamplingNode {
   [[nodiscard]] const NodeMetrics& metrics() const noexcept { return metrics_; }
   void reset_metrics() noexcept { metrics_ = NodeMetrics{}; }
 
-  /// Reservoir shards per sub-stream this node samples with (1 == the
-  /// sequential WHSampler path).
-  [[nodiscard]] std::size_t sampling_workers() const noexcept {
-    return lane_->workers();
-  }
-
   /// Last known weight per sub-stream (exposed for tests of the Fig. 3
   /// carry-over rule).
   [[nodiscard]] const WeightMap& remembered_weights() const noexcept {
@@ -116,16 +98,14 @@ class SamplingNode {
 
   /// Checkpoint hooks: serialize/restore every piece of cross-interval
   /// state (budget, cost-function EWMA, volume history, resolved epoch,
-  /// remembered weights, the lane's RNG stream). A restored node's next
+  /// remembered weights, the sampler's RNG stream). A restored node's next
   /// process_interval is bit-identical to the uninterrupted run's.
   void save_state(CheckpointWriter& writer) const;
   void restore_state(CheckpointReader& reader);
 
  private:
   NodeConfig config_;
-  // owned_executor_ must outlive lane_ (declaration order matters).
-  std::shared_ptr<SamplingExecutor> owned_executor_;
-  std::unique_ptr<SamplingLane> lane_;
+  WHSampler sampler_;
   std::unique_ptr<CostFunction> cost_function_;
   WeightMap remembered_weights_;
   /// Reused per-bundle stratification arena (zero steady-state allocs).

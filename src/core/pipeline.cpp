@@ -207,8 +207,6 @@ std::unique_ptr<PipelineStage> make_pipeline_stage(const StageConfig& config) {
       nc.whsamp.allocation_policy = config.allocation_policy;
       nc.whsamp.reservoir_algorithm = config.reservoir_algorithm;
       nc.rng_seed = config.rng_seed;
-      nc.parallel_workers = config.parallel_workers;
-      nc.executor = config.executor;
       nc.policy = config.policy;
       return std::make_unique<WhsStage>(std::move(nc));
     }

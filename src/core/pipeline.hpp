@@ -131,14 +131,6 @@ struct StageConfig {
   sampling::ReservoirAlgorithm reservoir_algorithm{
       sampling::ReservoirAlgorithm::kAlgorithmR};
   std::uint64_t rng_seed{42};
-  /// Workers sharding each reservoir within the stage (§III-E); only the
-  /// kApproxIoT engine honours values > 1, and only when no `executor`
-  /// handle is given (the node then owns a private pool).
-  std::size_t parallel_workers{1};
-  /// Shared execution substrate for the stage's sampling; runtimes pass
-  /// one executor to every stage so all shards run on the same
-  /// persistent worker pool. Null -> sequential WHSampler.
-  std::shared_ptr<SamplingExecutor> executor{};
   /// Live control plane view for the stage (see NodeConfig::policy).
   /// Unbound -> the stage's `fraction` stays frozen.
   PolicyHandle policy{};

@@ -17,12 +17,12 @@
 // walks strata in this order — reordering it would change which random
 // stream each sub-stream draws from. Items within a stratum keep their
 // arrival order (the build is a stable counting sort), which the
-// round-robin shard assignment in core/executor.cpp depends on.
+// round-robin shard assignment in core/parallel.cpp depends on.
 //
 // Building is two passes and zero node allocations: count per sub-stream
 // into the directory, prefix-sum the offsets, then scatter items through
 // per-stratum cursors. `assign()` reuses the arena and directory buffers,
-// so a batch owned by a lane allocates nothing in steady state.
+// so a batch owned by a sampler allocates nothing in steady state.
 //
 // The class also serves as the sample payload of SampledBundle, so it
 // keeps a small map-like facade (begin/end yielding (id, span) pairs,
@@ -183,7 +183,7 @@ class StratifiedBatch {
   }
 
   /// Convenience for batches that are themselves long-lived scratch (a
-  /// lane's stratification arena, tests): uses an internal lazily
+  /// sampler's stratification arena, tests): uses an internal lazily
   /// created StratifyScratch, reused across calls.
   void assign(const Item* data, std::size_t n);
   void assign(const std::vector<Item>& items) {

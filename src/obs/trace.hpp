@@ -1,14 +1,13 @@
 // Lightweight span tracer emitting chrome://tracing-compatible JSON.
 //
-// Model: the Tracer owns a set of *tracks* (one per tree node, executor
-// lane, driver processor — registered up front, each becoming a named
+// Model: the Tracer owns a set of *tracks* (one per tree node or driver
+// processor — registered up front, each becoming a named
 // "thread" row in the trace viewer) and each track owns a mutex-guarded
 // event buffer, so concurrent emission from many worker threads never
 // contends on a global lock. Events are:
 //
 //   complete ("X")  a span with begin timestamp + duration — stage
-//                   execute, channel wait, executor dispatch, root merge,
-//                   window close
+//                   execute, channel wait, root merge, window close
 //   instant  ("i")  a point event — policy epoch publish, drops
 //
 // Every event can carry the resolved `policy_epoch` (args.policy_epoch in

@@ -48,7 +48,7 @@ ConcurrentEdgeTree::ConcurrentEdgeTree(ConcurrentTreeConfig config)
   const auto& widths = config_.tree.layer_widths;
 
   // Resolve observability sinks before anything that registers against
-  // them (the executor binds lanes at stage construction time).
+  // them.
   stats_ = config_.stats;
   tracer_ = config_.tracer;
 
@@ -71,26 +71,6 @@ ConcurrentEdgeTree::ConcurrentEdgeTree(ConcurrentTreeConfig config)
         config_.tree.sampling_fraction, config_.adaptive.controller);
   }
 
-  // One persistent shard-execution substrate shared by every node: its
-  // workers are created here, once, and per-interval sampling only
-  // enqueues work on them (the ROADMAP's "persistent per-node sampling
-  // workers"). An externally supplied executor wins, so callers can pool
-  // several runtimes on one worker set.
-  sampling_executor_ = config_.sampling_executor;
-  if (sampling_executor_ == nullptr && config_.workers_per_node > 1 &&
-      config_.tree.engine == core::EngineKind::kApproxIoT) {
-    // Only WHS stages consume the executor; building one for SRS/native
-    // trees would spawn pool threads nothing ever dispatches to.
-    sampling_executor_ = core::PooledSamplingExecutor::for_seed(
-        config_.workers_per_node, config_.tree.rng_seed);
-    // Privately constructed substrate: safe to bind our sinks (a shared,
-    // caller-owned executor may already be bound elsewhere — hands off).
-    AIOT_OBS(if (sampling_executor_ != nullptr &&
-                 (stats_ != nullptr || tracer_ != nullptr)) {
-      sampling_executor_->bind_obs(stats_, tracer_, "executor");
-    });
-  }
-
   auto new_channel = [this]() {
     channels_.push_back(std::make_unique<BoundedChannel<IntervalMessage>>(
         config_.channel_capacity, config_.backpressure));
@@ -109,11 +89,9 @@ ConcurrentEdgeTree::ConcurrentEdgeTree(ConcurrentTreeConfig config)
     const std::size_t width = layer < widths.size() ? widths[layer] : 1;
     nodes_[layer].resize(width);
     for (std::size_t i = 0; i < width; ++i) {
-      core::StageConfig sc =
-          core::edge_tree_stage_config(config_.tree, layer, i);
-      sc.executor = sampling_executor_;
       NodeRuntime& node = nodes_[layer][i];
-      node.stage = core::make_pipeline_stage(sc);
+      node.stage = core::make_pipeline_stage(
+          core::edge_tree_stage_config(config_.tree, layer, i));
       node.layer = layer;
       node.fault = std::make_unique<FaultState>();
       node.output = layer < widths.size() ? new_channel() : nullptr;

@@ -15,18 +15,14 @@
 // process runs 10k+ logical nodes on an 8-worker pool.
 //
 // Determinism: stages are built with core::edge_tree_stage_config, so with
-// kBlock backpressure (lossless) and workers_per_node == 1, the ConcurrentEdgeTree
-// produces bit-identical samples, weights and Θ to a sequential EdgeTree
-// fed the same input, at any scheduler worker count — the equivalence the
-// runtime test suite pins down. A task never runs on two workers at once,
-// Ψ is assembled in child order, and every RNG lives in the node's stage
-// (not in any worker), so the scheduler can only change wall-clock
-// interleaving. With workers_per_node > 1, every node shards its
-// reservoirs over one shared core::PooledSamplingExecutor (§III-E): the
-// shard workers are created once, with the tree, and per-interval
-// sampling only dispatches closures to them — no thread is spawned on the
-// hot path. Samples then differ from the sequential tree but the Eq. 8
-// weight invariant still holds.
+// kBlock backpressure (lossless) the ConcurrentEdgeTree produces
+// bit-identical samples, weights and Θ to a sequential EdgeTree fed the
+// same input, at any scheduler worker count — the equivalence the runtime
+// test suite pins down. A task never runs on two workers at once, Ψ is
+// assembled in child order, and every RNG lives in the node's stage (not
+// in any worker), so the scheduler can only change wall-clock
+// interleaving. Each WHS node samples with its own core::WHSampler on the
+// task that runs it; the scheduler is the process's only worker pool.
 //
 // Backpressure: kBlock propagates pressure source-wards and loses
 // nothing. kDropNewest sheds whole interval messages at full channels and
@@ -101,15 +97,6 @@ struct ConcurrentTreeConfig {
   /// node count. The pool size never changes the sampling output — only
   /// how many nodes make progress at once.
   std::size_t event_workers{0};
-  /// Reservoir-sharding workers inside each WHS node (§III-E). With > 1
-  /// the tree builds one shared PooledSamplingExecutor for all nodes
-  /// (unless `sampling_executor` is supplied).
-  std::size_t workers_per_node{1};
-  /// Optional externally owned execution substrate for within-node
-  /// sharded sampling; overrides workers_per_node-driven construction so
-  /// several trees (or a tree plus stream processors) can share one
-  /// persistent worker pool.
-  std::shared_ptr<core::SamplingExecutor> sampling_executor{};
   /// Optional: called from the root's task for every sampled bundle the
   /// root adds to Θ (e.g. to republish results into a flowqueue topic).
   std::function<void(const core::SampledBundle&)> root_tap{};
@@ -454,10 +441,6 @@ class ConcurrentEdgeTree {
   mutable std::mutex adaptive_mutex_;
   std::unique_ptr<core::AdaptiveController> controller_;
   std::size_t intervals_since_observation_{0};
-
-  /// Shared shard-execution substrate for every node's sampling lane.
-  /// Declared before nodes_ so it outlives the lanes created from it.
-  std::shared_ptr<core::SamplingExecutor> sampling_executor_;
 
   std::vector<std::unique_ptr<BoundedChannel<IntervalMessage>>> channels_;
   std::vector<BoundedChannel<IntervalMessage>*> leaf_inputs_;

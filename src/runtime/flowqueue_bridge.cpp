@@ -13,12 +13,21 @@ namespace approxiot::runtime {
 FlowQueueSource::FlowQueueSource(flowqueue::Broker& broker,
                                  ConcurrentEdgeTree& tree,
                                  FlowQueueSourceConfig config,
-                                 obs::StatsRegistry* stats)
+                                 [[maybe_unused]] obs::StatsRegistry* stats)
     : tree_(&tree),
       config_(std::move(config)),
-      stats_(stats),
       consumer_(broker, config_.group + "-consumer"),
-      clock_(config_.interval) {}
+      clock_(config_.interval) {
+  AIOT_OBS(if (stats != nullptr) {
+    records_bridged_stat_ = &stats->counter("bridge/records_bridged");
+    bytes_bridged_stat_ = &stats->counter("bridge/bytes_bridged");
+    decode_errors_stat_ = &stats->counter("bridge/decode_errors");
+    late_records_stat_ = &stats->counter("bridge/late_records");
+    watermark_flushes_stat_ = &stats->counter("bridge/watermark_flushes");
+    gap_intervals_skipped_stat_ =
+        &stats->counter("bridge/gap_intervals_skipped");
+  });
+}
 
 Status FlowQueueSource::start() {
   return consumer_.subscribe(config_.group, {config_.topic});
@@ -41,8 +50,8 @@ Result<std::size_t> FlowQueueSource::run_until_idle(std::size_t max_cycles) {
       auto bundle = core::decode_bundle(record.value);
       if (!bundle.is_ok()) {
         ++decode_errors_;
-        AIOT_OBS(if (stats_ != nullptr) {
-          stats_->counter("bridge/decode_errors").increment();
+        AIOT_OBS(if (decode_errors_stat_ != nullptr) {
+          decode_errors_stat_->increment();
         });
         continue;
       }
@@ -52,8 +61,8 @@ Result<std::size_t> FlowQueueSource::run_until_idle(std::size_t max_cycles) {
         // Its tick already fired — a force-flush ran, or a watermark
         // flush did and a producer then appended an older timestamp.
         ++late_records_;
-        AIOT_OBS(if (stats_ != nullptr) {
-          stats_->counter("bridge/late_records").increment();
+        AIOT_OBS(if (late_records_stat_ != nullptr) {
+          late_records_stat_->increment();
         });
         continue;
       }
@@ -71,10 +80,9 @@ Result<std::size_t> FlowQueueSource::run_until_idle(std::size_t max_cycles) {
                               std::make_move_iterator(sharded[leaf].end()));
       }
       ++records_bridged_;
-      AIOT_OBS(if (stats_ != nullptr) {
-        stats_->counter("bridge/records_bridged").increment();
-        stats_->counter("bridge/bytes_bridged")
-            .increment(record.value.size());
+      AIOT_OBS(if (records_bridged_stat_ != nullptr) {
+        records_bridged_stat_->increment();
+        bytes_bridged_stat_->increment(record.value.size());
       });
     }
     // Safety valve for topics that never go idle: bound the buffer by
@@ -94,8 +102,8 @@ Result<std::size_t> FlowQueueSource::run_until_idle(std::size_t max_cycles) {
       const std::size_t flushed = flush_through(max_seen_interval_ - 1);
       if (flushed > 0) {
         watermark_flushes_ += flushed;
-        AIOT_OBS(if (stats_ != nullptr) {
-          stats_->counter("bridge/watermark_flushes").increment(flushed);
+        AIOT_OBS(if (watermark_flushes_stat_ != nullptr) {
+          watermark_flushes_stat_->increment(flushed);
         });
       }
       pushed += flushed;
@@ -194,17 +202,22 @@ std::size_t FlowQueueSource::flush_through(std::int64_t last_interval) {
   }
   if (skipped > 0) {
     gap_intervals_skipped_ += skipped;
-    AIOT_OBS(if (stats_ != nullptr) {
-      stats_->counter("bridge/gap_intervals_skipped").increment(skipped);
+    AIOT_OBS(if (gap_intervals_skipped_stat_ != nullptr) {
+      gap_intervals_skipped_stat_->increment(skipped);
     });
   }
   return pushed;
 }
 
 FlowQueueSink::FlowQueueSink(flowqueue::Broker& broker, std::string topic,
-                             obs::StatsRegistry* stats)
-    : producer_(broker), topic_(std::move(topic)), stats_(stats) {
+                             [[maybe_unused]] obs::StatsRegistry* stats)
+    : producer_(broker), topic_(std::move(topic)) {
   broker.ensure_topic(topic_, 1);
+  AIOT_OBS(if (stats != nullptr) {
+    bundles_published_stat_ = &stats->counter("bridge/bundles_published");
+    bytes_published_stat_ = &stats->counter("bridge/bytes_published");
+    publish_errors_stat_ = &stats->counter("bridge/publish_errors");
+  });
 }
 
 void FlowQueueSink::publish(const core::SampledBundle& bundle) {
@@ -221,15 +234,15 @@ void FlowQueueSink::publish(const core::SampledBundle& bundle) {
   auto sent = producer_.send(topic_, "root", std::move(payload), timestamp);
   if (!sent.is_ok()) {
     ++publish_errors_;
-    AIOT_OBS(if (stats_ != nullptr) {
-      stats_->counter("bridge/publish_errors").increment();
+    AIOT_OBS(if (publish_errors_stat_ != nullptr) {
+      publish_errors_stat_->increment();
     });
     return;
   }
   ++bundles_published_;
-  AIOT_OBS(if (stats_ != nullptr) {
-    stats_->counter("bridge/bundles_published").increment();
-    stats_->counter("bridge/bytes_published").increment(bytes);
+  AIOT_OBS(if (bundles_published_stat_ != nullptr) {
+    bundles_published_stat_->increment();
+    bytes_published_stat_->increment(bytes);
   });
 }
 

@@ -12,7 +12,8 @@
 //   loop for downstream analytics consumers.
 //
 // Both count into an optional obs::StatsRegistry under "bridge/..."
-// (records bridged, bytes, decode errors, bundles published).
+// (records bridged, bytes, decode errors, bundles published), resolving
+// the counters once at construction.
 #pragma once
 
 #include <cstdint>
@@ -117,7 +118,14 @@ class FlowQueueSource {
 
   ConcurrentEdgeTree* tree_;
   FlowQueueSourceConfig config_;
-  obs::StatsRegistry* stats_{nullptr};
+  /// "bridge/..." counters, resolved once at construction; null when no
+  /// registry is bound.
+  obs::Counter* records_bridged_stat_{nullptr};
+  obs::Counter* bytes_bridged_stat_{nullptr};
+  obs::Counter* decode_errors_stat_{nullptr};
+  obs::Counter* late_records_stat_{nullptr};
+  obs::Counter* watermark_flushes_stat_{nullptr};
+  obs::Counter* gap_intervals_skipped_stat_{nullptr};
   flowqueue::Consumer consumer_;
   IntervalClock clock_;
 
@@ -154,7 +162,11 @@ class FlowQueueSink {
  private:
   flowqueue::Producer producer_;
   std::string topic_;
-  obs::StatsRegistry* stats_{nullptr};
+  /// "bridge/..." counters, resolved once at construction; null when no
+  /// registry is bound.
+  obs::Counter* bundles_published_stat_{nullptr};
+  obs::Counter* bytes_published_stat_{nullptr};
+  obs::Counter* publish_errors_stat_{nullptr};
   std::mutex mutex_;
   std::uint64_t bundles_published_{0};
   std::uint64_t publish_errors_{0};

@@ -7,14 +7,9 @@
 // (W^out, sample) bundles downstream — exactly the per-node behaviour of
 // Algorithm 2 lines 2-19, expressed in the Processor API.
 //
-// Punctuation-time sampling runs on whatever execution substrate the
-// NodeConfig carries: pass a core::SamplingExecutor handle (e.g. one
-// PooledSamplingExecutor shared across every processor of a topology)
-// and the flush shards each sub-stream's reservoir over that executor's
-// persistent workers (§III-E); leave it null for the sequential path.
-// The TopologyDriver needs no changes either way — the parallelism is
-// entirely inside the punctuate() call, so the driver's deterministic
-// single-threaded record routing is preserved.
+// Punctuation-time sampling runs on the caller's thread, inside the
+// punctuate() call, with the node's own WHSampler, so the TopologyDriver's
+// deterministic single-threaded record routing is preserved.
 //
 // Live policy (§IV-B): when the NodeConfig carries a bound PolicyHandle,
 // the processor applies the control plane AT PUNCTUATION TIME — the
@@ -47,12 +42,6 @@ class SamplingProcessor final : public Processor {
 
   [[nodiscard]] const core::NodeMetrics& metrics() const noexcept {
     return node_.metrics();
-  }
-
-  /// Reservoir shards per sub-stream used at punctuation time (1 == the
-  /// sequential path; >1 when the NodeConfig carried a pooled executor).
-  [[nodiscard]] std::size_t sampling_workers() const noexcept {
-    return node_.sampling_workers();
   }
 
   /// Policy epoch applied at the most recent punctuation flush (0 when

@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -188,6 +189,88 @@ TEST(CheckpointTest, StageEngineMismatchThrows) {
   auto srs_stage = make_pipeline_stage(srs);
   const Checkpoint snapshot = checkpoint_stage(*whs_stage);
   EXPECT_THROW(restore_stage(*srs_stage, snapshot), CheckpointError);
+}
+
+// A WHS stage (fraction 0.4, seed 99) after five intervals of
+// interval_items(1, k)[0]: stage tag, budget, cost-function EWMA, volume
+// history, policy epoch, remembered weights, then the sampling lane's
+// tag (1, the sequential lane) and its RNG state.
+constexpr std::uint8_t kSequentialStageSnapshot[] = {
+    0xc4, 0x01, 0x01, 0x02, 0x01, 0x9a, 0x99, 0x99, 0x99, 0x99, 0x99, 0xd9,
+    0x3f, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0xc0, 0x4f, 0x40, 0x3f, 0x00, 0x00, 0x01, 0x28, 0xc0,
+    0x9d, 0x65, 0xb2, 0x1e, 0xb4, 0xda, 0x2d, 0x6f, 0x9e, 0xe7, 0x49, 0xf0,
+    0xa4, 0x60, 0x8a, 0x0d, 0xa2, 0x1f, 0x05, 0xb1, 0xab, 0x0a, 0x20, 0x2d,
+    0x9e, 0x94, 0xfe, 0x0a, 0xe1, 0xc9, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00};
+
+// The same stage as written by the former two-worker sharded lane: lane
+// tag 2, the worker count, the RNG state and a call counter.
+constexpr std::uint8_t kShardedStageSnapshot[] = {
+    0xc4, 0x01, 0x01, 0x02, 0x01, 0x9a, 0x99, 0x99, 0x99, 0x99, 0x99, 0xd9,
+    0x3f, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0xc0, 0x4f, 0x40, 0x3f, 0x00, 0x00, 0x02, 0x02, 0x28,
+    0xc0, 0x9d, 0x65, 0xb2, 0x1e, 0xb4, 0xda, 0x2d, 0x6f, 0x9e, 0xe7, 0x49,
+    0xf0, 0xa4, 0x60, 0x8a, 0x0d, 0xa2, 0x1f, 0x05, 0xb1, 0xab, 0x0a, 0x20,
+    0x2d, 0x9e, 0x94, 0xfe, 0x0a, 0xe1, 0xc9, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x05};
+
+StageConfig pinned_whs_stage_config() {
+  StageConfig config;
+  config.engine = EngineKind::kApproxIoT;
+  config.fraction = 0.4;
+  config.rng_seed = 99;
+  return config;
+}
+
+template <std::size_t N>
+Checkpoint checkpoint_of(const std::uint8_t (&bytes)[N]) {
+  return Checkpoint{std::vector<std::uint8_t>(bytes, bytes + N)};
+}
+
+// The stage format is pinned byte for byte: a stage writes exactly the
+// recorded snapshot, and the recorded snapshot restores into a fresh
+// stage that continues bit-identically to the uninterrupted one.
+TEST(CheckpointTest, SequentialStageSnapshotIsPinnedAndRestores) {
+  auto original = make_pipeline_stage(pinned_whs_stage_config());
+  std::vector<ItemBundle> psi(1);
+  std::vector<SampledBundle> out_a;
+  for (std::uint64_t interval = 0; interval < 5; ++interval) {
+    psi[0].items = interval_items(1, interval)[0];
+    original->process_interval(psi, out_a);
+  }
+  const Checkpoint pinned = checkpoint_of(kSequentialStageSnapshot);
+  EXPECT_EQ(checkpoint_stage(*original).bytes, pinned.bytes);
+
+  auto restored = make_pipeline_stage(pinned_whs_stage_config());
+  restore_stage(*restored, pinned);
+  EXPECT_EQ(checkpoint_stage(*restored).bytes, pinned.bytes);
+
+  std::vector<SampledBundle> out_b;
+  for (std::uint64_t interval = 5; interval < 10; ++interval) {
+    psi[0].items = interval_items(1, interval)[0];
+    original->process_interval(psi, out_a);
+    restored->process_interval(psi, out_b);
+    ASSERT_EQ(out_a.size(), out_b.size());
+    for (std::size_t i = 0; i < out_a.size(); ++i) {
+      EXPECT_TRUE(out_a[i].w_out == out_b[i].w_out);
+      EXPECT_EQ(out_a[i].sample.items(), out_b[i].sample.items());
+    }
+  }
+}
+
+// Only the sequential lane exists, so a snapshot naming another lane
+// fails closed instead of desynchronising the RNG stream.
+TEST(CheckpointTest, ShardedLaneSnapshotIsRefused) {
+  auto stage = make_pipeline_stage(pinned_whs_stage_config());
+  try {
+    restore_stage(*stage, checkpoint_of(kShardedStageSnapshot));
+    FAIL() << "a sharded-lane snapshot was restored";
+  } catch (const CheckpointError& error) {
+    EXPECT_NE(std::string(error.what()).find("lane type mismatch"),
+              std::string::npos)
+        << error.what();
+  }
 }
 
 class CheckpointEngineTest : public ::testing::TestWithParam<EngineKind> {};

@@ -1,6 +1,14 @@
+// §III-E as a single-threaded model: WorkerGroup's shard/offer/merge
+// protocol and ParallelSampler built on it. The sharded-executor contract
+// (bit-identity at one worker, exact Eq. 8 at w > 1) is pinned in
+// executor_test.cpp; the output at w ∈ {1, 2, 4, 8} is pinned by golden
+// checksums in stream_golden_test.cpp.
 #include "core/parallel.hpp"
 
 #include <gtest/gtest.h>
+
+#include <cstdint>
+#include <vector>
 
 #include "core/estimators.hpp"
 #include "core/theta_store.hpp"
@@ -75,17 +83,17 @@ TEST(WorkerGroupTest, ZeroCapacityCountsWithoutKeepingOrDividing) {
   EXPECT_DOUBLE_EQ(merged.weight_multiplier, 1.0);
 }
 
-TEST(WorkerGroupTest, RoutedShardsBeyondActiveWorkersStillCount) {
-  // offer_routed accepts the full requested shard width; shards beyond
-  // the clamped worker count contribute to c_i without keeping items, so
-  // the Eq. 8 counters stay exact under position-based sharding.
+TEST(WorkerGroupTest, ShardsBeyondActiveWorkersStillCount) {
+  // Items are dealt over the full requested width; shards beyond the
+  // clamped worker count contribute to c_i without keeping items, so the
+  // Eq. 8 counters stay exact under position-based sharding.
   WorkerGroup group(4, 2, Rng(7));
   EXPECT_EQ(group.worker_count(), 2u);
   EXPECT_EQ(group.shard_width(), 4u);
+  // Two calls: the deal continues from the position the first one left.
   const auto items = n_items(SubStreamId{1}, 8);
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    group.offer_routed(i % 4, items[i]);
-  }
+  group.shard({items.data(), 3});
+  group.shard({items.data() + 3, 5});
   auto merged = group.merge();
   EXPECT_EQ(merged.total_count, 8u);
   EXPECT_EQ(merged.sample.size(), 2u);  // workers 0 and 1 kept one each
@@ -132,8 +140,7 @@ TEST(ParallelSamplerTest, MatchesSequentialSemantics) {
   EXPECT_DOUBLE_EQ(out.w_out.get(SubStreamId{2}), 1.0);
 }
 
-TEST(ParallelSamplerTest, ThreadedPathPreservesInvariant) {
-  // Large stratum forces the threaded sharding path.
+TEST(ParallelSamplerTest, LargeStratumPreservesInvariant) {
   ParallelSampler sampler(4, Rng(6));
   SampledBundle out;
   sampler.sample(n_items(SubStreamId{1}, 50000), 100, WeightMap{}, out);
@@ -180,11 +187,12 @@ TEST(ParallelSamplerTest, EmptyInput) {
   SampledBundle out;
   sampler.sample({}, 10, WeightMap{}, out);
   EXPECT_TRUE(out.sample.empty());
+  EXPECT_TRUE(out.w_out.empty());
 }
 
-TEST(ParallelSamplerTest, ZeroThreadsCoercedToOne) {
+TEST(ParallelSamplerTest, ZeroWorkersCoercedToOne) {
   ParallelSampler sampler(0, Rng(9));
-  EXPECT_EQ(sampler.threads(), 1u);
+  EXPECT_EQ(sampler.workers(), 1u);
   SampledBundle out;
   sampler.sample(n_items(SubStreamId{1}, 10), 5, WeightMap{}, out);
   EXPECT_EQ(out.sample.at(SubStreamId{1}).size(), 5u);

@@ -9,7 +9,8 @@
 // the implementation before the table-driven jump and the one-jump-per-
 // stratum look-ahead went in; they pin the exact samples, RNG states and
 // checkpoint format, so any performance change that alters a draw fails
-// here.
+// here. The last test pins the single-threaded §III-E model
+// (ParallelSampler) the same way.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -18,6 +19,7 @@
 
 #include "common/rng.hpp"
 #include "core/checkpoint.hpp"
+#include "core/parallel.hpp"
 #include "core/pipeline.hpp"
 
 namespace approxiot::core {
@@ -83,6 +85,52 @@ std::uint64_t run_checksum(const EdgeTreeConfig& config,
   return h.value();
 }
 
+/// 40 intervals through one long-lived ParallelSampler: up to 12
+/// shuffled sub-streams of 1..40 items (a quarter of them up to 3000),
+/// some with an incoming weight, budgets 0..199 so that some reservoirs
+/// are smaller than the worker count and get clamped. Folds every
+/// stratum's id, kept items and W^out into one FNV-1a value.
+std::uint64_t parallel_checksum(std::size_t workers) {
+  ParallelSampler sampler(workers, Rng(0xabcdef + workers));
+  Rng gen(77);
+  Fnv1a h;
+  SampledBundle out;
+  for (int interval = 0; interval < 40; ++interval) {
+    std::vector<Item> items;
+    WeightMap w_in;
+    const std::uint64_t strata = gen.next_below(13);
+    for (std::uint64_t s = 0; s < strata; ++s) {
+      const SubStreamId id{gen.next_below(50)};
+      if (gen.next_below(3) == 0) w_in.set(id, 1.0 + gen.next_double() * 9.0);
+      const std::uint64_t n =
+          1 + gen.next_below(gen.next_below(4) == 0 ? 3000 : 40);
+      for (std::uint64_t i = 0; i < n; ++i) {
+        items.push_back(Item{id, gen.next_double() * 100.0,
+                             static_cast<std::int64_t>(items.size())});
+      }
+    }
+    // Interleave sub-streams so arrival order differs from stratum order.
+    for (std::size_t i = items.size(); i > 1; --i) {
+      std::swap(items[i - 1], items[gen.next_below(i)]);
+    }
+    const std::size_t sample_size = gen.next_below(200);
+    sampler.sample(items, sample_size, w_in, out);
+    h.add(static_cast<std::uint64_t>(out.sample.strata().size()));
+    for (const Stratum& s : out.sample.strata()) {
+      h.add(s.id.value());
+      h.add(static_cast<std::uint64_t>(s.len));
+      h.add(out.w_out.get(s.id));
+      for (std::size_t i = 0; i < s.len; ++i) {
+        const Item& item = out.sample.items()[s.offset + i];
+        h.add(item.source.value());
+        h.add(item.value);
+        h.add(static_cast<std::uint64_t>(item.created_at_us));
+      }
+    }
+  }
+  return h.value();
+}
+
 TEST(StreamGoldenTest, WhsEqualAllocationAlgorithmR) {
   EdgeTreeConfig config;
   config.layer_widths = {12, 4, 2};
@@ -108,6 +156,18 @@ TEST(StreamGoldenTest, SrsEngine) {
   config.sampling_fraction = 0.3;
   config.rng_seed = 7;
   EXPECT_EQ(run_checksum(config, 3003), 0x925627494bea1570ULL);
+}
+
+// The §III-E model (core/parallel.hpp) at w ∈ {1, 2, 4, 8}: pins shard
+// assignment (within-stratum position mod w), the clamp, the worker RNG
+// streams (split for worker 0, reseeds drawn from a copy, one jump per
+// stratum) and the merge order. The constants were captured from the
+// thread-pool implementation this model replaced.
+TEST(StreamGoldenTest, ParallelSamplerAcrossWorkerCounts) {
+  EXPECT_EQ(parallel_checksum(1), 0x023e255a1844c8b5ULL);
+  EXPECT_EQ(parallel_checksum(2), 0xc16fcd858f63bcb1ULL);
+  EXPECT_EQ(parallel_checksum(4), 0x249248fb90e9547fULL);
+  EXPECT_EQ(parallel_checksum(8), 0x1b80a8a3e4cc3677ULL);
 }
 
 }  // namespace

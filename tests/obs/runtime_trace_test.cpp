@@ -2,7 +2,7 @@
 // ConcurrentEdgeTree (plus a flowqueue-fed streams driver sharing the
 // registry) must produce a chrome://tracing-loadable trace whose spans
 // carry policy-epoch annotations, and one Prometheus snapshot covering
-// tree, executor, flowqueue, and streams metrics. Instrumentation must
+// tree, flowqueue, and streams metrics. Instrumentation must
 // never perturb sampling: stats-on and stats-off runs are bit-identical.
 #include <gtest/gtest.h>
 
@@ -69,7 +69,6 @@ TEST(ObsRuntimeTraceTest, SixtyFourNodeTraceAndCrossRuntimePrometheus) {
   config.tree.sampling_fraction = 0.4;
   config.tree.rng_seed = 20180701;
   config.tree.control_plane = core::make_control_plane(config.tree);
-  config.workers_per_node = 2;  // pooled executor lanes get instrumented
   config.stats = &stats;
   config.tracer = &tracer;
   ConcurrentEdgeTree tree(config);
@@ -135,7 +134,7 @@ TEST(ObsRuntimeTraceTest, SixtyFourNodeTraceAndCrossRuntimePrometheus) {
   ASSERT_TRUE(driver.stop().is_ok());
   broker.export_stats(stats, "flowqueue");
 
-  // --- one Prometheus snapshot covering all four runtimes -------------
+  // --- one Prometheus snapshot covering all three runtimes -------------
   const std::string prom = stats.snapshot().to_prometheus();
   // tree: per-node interval latency + occupancy + policy state
   EXPECT_NE(prom.find("approxiot_tree_root_exec_us"), std::string::npos);
@@ -143,11 +142,6 @@ TEST(ObsRuntimeTraceTest, SixtyFourNodeTraceAndCrossRuntimePrometheus) {
   EXPECT_NE(prom.find("approxiot_tree_L0_n0_in0_depth"), std::string::npos);
   EXPECT_NE(prom.find("approxiot_tree_policy_epoch"), std::string::npos);
   EXPECT_NE(prom.find("approxiot_tree_windows_closed"), std::string::npos);
-  // executor: per-lane dispatch/merge timing
-  EXPECT_NE(prom.find("approxiot_executor_lane0_dispatch_us"),
-            std::string::npos);
-  EXPECT_NE(prom.find("approxiot_executor_lane0_merge_us"),
-            std::string::npos);
   // flowqueue: consumer watermarks + broker topic depth
   EXPECT_NE(prom.find("approxiot_streams_app_source_src_lag"),
             std::string::npos);
@@ -177,7 +171,6 @@ TEST(ObsRuntimeTraceTest, InstrumentationIsBitIdenticalOnAndOff) {
     config.tree.sampling_fraction = 0.4;
     config.tree.rng_seed = 20180701;
     config.tree.control_plane = core::make_control_plane(config.tree);
-    config.workers_per_node = 2;
     if (instrumented) {
       config.stats = &stats;
       config.tracer = &tracer;

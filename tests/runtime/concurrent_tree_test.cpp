@@ -1,15 +1,11 @@
 // ConcurrentEdgeTree vs the sequential core::EdgeTree.
 //
-// With one sampling worker per node and lossless (kBlock) channels, the
-// concurrent runtime must be BIT-IDENTICAL to the sequential tree: same
-// stages, same seeds, same Ψ ordering, therefore the same RNG draws, the
-// same samples, the same weights, the same Θ, the same query answer.
+// With lossless (kBlock) channels, the concurrent runtime must be
+// BIT-IDENTICAL to the sequential tree: same stages, same seeds, same Ψ
+// ordering, therefore the same RNG draws, the same samples, the same
+// weights, the same Θ, the same query answer.
 // That is the strongest possible statement of the paper's no-coordination
 // claim: adding threads changed nothing but wall-clock interleaving.
-//
-// With workers_per_node > 1 the samples legitimately differ (reservoirs
-// are sharded, §III-E) but the Eq. 8 invariant W^out·c̃ = W^in·c must keep
-// every sub-stream's estimated original count exact at the root.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -85,7 +81,6 @@ TEST_P(EngineEquivalenceTest, SingleWorkerRunIsBitIdenticalToEdgeTree) {
   runtime_config.tree = tree_config;
   runtime_config.channel_capacity = 4;  // layers genuinely pipeline
   runtime_config.backpressure = BackpressurePolicy::kBlock;
-  runtime_config.workers_per_node = 1;
   ConcurrentEdgeTree concurrent(runtime_config);
 
   const auto workload = make_workload(24, sequential.leaf_count(), 77);
@@ -277,96 +272,6 @@ TEST(ConcurrentTreePolicyTest, MidStreamSwapPreservesWeightInvariant) {
   EXPECT_GE(theta.max_policy_epoch(), 1u);
 }
 
-// Multi-worker nodes shard reservoirs across real threads with no
-// coordination; Eq. 8 demands the estimated original count of every
-// sub-stream that kept >= 1 item stays EXACT at the root.
-TEST(ConcurrentTreeInvariantTest, MultiWorkerPreservesWeightInvariant) {
-  EdgeTreeConfig tree_config;
-  tree_config.layer_widths = {4, 2};
-  tree_config.engine = EngineKind::kApproxIoT;
-  tree_config.sampling_fraction = 0.5;
-  tree_config.rng_seed = 4242;
-
-  ConcurrentTreeConfig runtime_config;
-  runtime_config.tree = tree_config;
-  runtime_config.channel_capacity = 4;
-  runtime_config.workers_per_node = 4;
-  ConcurrentEdgeTree tree(runtime_config);
-
-  // One interval of known truth per sub-stream, then drain: the count
-  // estimate must reconstruct the truth despite two sampling layers, the
-  // root, and 4-way sharding inside every node.
-  std::vector<std::uint64_t> truth = {0, 400, 800, 1200};  // streams 1..3
-  std::vector<std::vector<Item>> interval(tree.leaf_count());
-  Rng rng(99);
-  for (std::uint64_t s = 1; s <= 3; ++s) {
-    for (std::uint64_t i = 0; i < truth[s]; ++i) {
-      const std::size_t leaf = rng.next_below(tree.leaf_count());
-      interval[leaf].push_back(Item{SubStreamId{s}, 1.0, 0});
-    }
-  }
-  for (int rep = 0; rep < 5; ++rep) tree.push_interval(interval);
-  tree.drain();
-  tree.stop();
-
-  const auto& theta = tree.theta();
-  for (std::uint64_t s = 1; s <= 3; ++s) {
-    ASSERT_GT(theta.sampled_count(SubStreamId{s}), 0u);
-    const double expected = 5.0 * static_cast<double>(truth[s]);
-    EXPECT_NEAR(theta.estimated_original_count(SubStreamId{s}), expected,
-                expected * 1e-9)
-        << "stream " << s;
-  }
-}
-
-// An externally owned executor can be shared across the whole tree (and
-// in principle across several runtimes): every node's shards then run on
-// the same persistent pool, and the Eq. 8 invariant still holds with the
-// cross-thread dispatch path forced on.
-TEST(ConcurrentTreeInvariantTest, SharedPooledExecutorAcrossNodes) {
-  auto executor = [] {
-    core::PooledSamplingExecutor::Options options;
-    options.workers_per_lane = 3;
-    options.pool_threads = 2;       // force a real pool even on 1 core
-    options.min_items_to_dispatch = 0;  // dispatch every interval
-    return std::make_shared<core::PooledSamplingExecutor>(options);
-  }();
-  ASSERT_TRUE(executor->has_pool());
-
-  EdgeTreeConfig tree_config;
-  tree_config.layer_widths = {4, 2};
-  tree_config.engine = EngineKind::kApproxIoT;
-  tree_config.sampling_fraction = 0.5;
-  tree_config.rng_seed = 77;
-
-  ConcurrentTreeConfig runtime_config;
-  runtime_config.tree = tree_config;
-  runtime_config.sampling_executor = executor;
-  ConcurrentEdgeTree tree(runtime_config);
-
-  std::vector<std::vector<Item>> interval(tree.leaf_count());
-  Rng rng(5);
-  std::vector<std::uint64_t> truth = {0, 300, 600, 900};
-  for (std::uint64_t s = 1; s <= 3; ++s) {
-    for (std::uint64_t i = 0; i < truth[s]; ++i) {
-      interval[rng.next_below(tree.leaf_count())].push_back(
-          Item{SubStreamId{s}, 1.0, 0});
-    }
-  }
-  for (int rep = 0; rep < 4; ++rep) tree.push_interval(interval);
-  tree.drain();
-  tree.stop();
-
-  const auto& theta = tree.theta();
-  for (std::uint64_t s = 1; s <= 3; ++s) {
-    ASSERT_GT(theta.sampled_count(SubStreamId{s}), 0u);
-    const double expected = 4.0 * static_cast<double>(truth[s]);
-    EXPECT_NEAR(theta.estimated_original_count(SubStreamId{s}), expected,
-                expected * 1e-9)
-        << "stream " << s;
-  }
-}
-
 // Same-seed runs of the concurrent runtime are identical to each other
 // (reproducibility survives thread scheduling).
 TEST(ConcurrentTreeTest, SameSeedRunsAreReproducible) {
@@ -456,46 +361,6 @@ TEST(ConcurrentTreeTest, PushAfterStopThrows) {
   tree.stop();
   std::vector<std::vector<Item>> interval(tree.leaf_count());
   EXPECT_THROW(tree.push_interval(interval), std::logic_error);
-}
-
-TEST(ConcurrentTreeTest, NonEqualAllocationWorksWithMultipleWorkers) {
-  // The sharded lane applies whatever allocation policy is configured
-  // (the old ParallelSampler hard-coded equal allocation); the Eq. 8
-  // invariant is policy-independent.
-  ConcurrentTreeConfig config;
-  config.tree.layer_widths = {2};
-  config.tree.allocation_policy = "proportional";
-  config.tree.sampling_fraction = 0.5;
-  config.workers_per_node = 2;
-  ConcurrentEdgeTree tree(config);
-
-  std::vector<std::vector<Item>> interval(tree.leaf_count());
-  for (std::size_t leaf = 0; leaf < interval.size(); ++leaf) {
-    for (int i = 0; i < 300; ++i) {
-      interval[leaf].push_back(Item{SubStreamId{1 + leaf}, 1.0, 0});
-    }
-  }
-  for (int rep = 0; rep < 3; ++rep) tree.push_interval(interval);
-  tree.drain();
-  tree.stop();
-
-  const auto& theta = tree.theta();
-  for (std::uint64_t s = 1; s <= 2; ++s) {
-    ASSERT_GT(theta.sampled_count(SubStreamId{s}), 0u);
-    EXPECT_NEAR(theta.estimated_original_count(SubStreamId{s}), 900.0,
-                900.0 * 1e-9)
-        << "stream " << s;
-  }
-}
-
-TEST(ConcurrentTreeTest, RejectsAlgorithmLWithMultipleWorkers) {
-  ConcurrentTreeConfig config;
-  config.tree.layer_widths = {2};
-  config.tree.reservoir_algorithm = sampling::ReservoirAlgorithm::kAlgorithmL;
-  config.workers_per_node = 2;
-  // The sharded slices run Algorithm R; the pooled executor refuses to
-  // silently substitute it for the configured algorithm.
-  EXPECT_THROW(ConcurrentEdgeTree tree(config), std::invalid_argument);
 }
 
 TEST(ConcurrentTreeTest, RejectsBadTopology) {

@@ -262,44 +262,6 @@ TEST(EventsTreeTest, WireRecordsDecodeToTheSequentialTheta) {
   expect_theta_identical(sequential.theta(), decoded_theta);
 }
 
-TEST(EventsTreeTest, PooledExecutorComposesWithEventsMode) {
-  // workers_per_node > 1 shards each node's reservoirs over a
-  // PooledSamplingExecutor while the node *tasks* share the scheduler
-  // pool. Samples legitimately differ from 1-worker runs, but
-  // Eq. 8 must keep every sub-stream's estimated original count exact.
-  EdgeTreeConfig tree_config;
-  tree_config.layer_widths = {4, 2};
-  tree_config.engine = EngineKind::kApproxIoT;
-  tree_config.sampling_fraction = 0.5;
-  tree_config.rng_seed = 4242;
-
-  ConcurrentTreeConfig config = runtime_config_for(tree_config, 3);
-  config.workers_per_node = 4;
-  ConcurrentEdgeTree tree(config);
-
-  std::vector<std::uint64_t> truth = {0, 400, 800, 1200};  // streams 1..3
-  std::vector<std::vector<Item>> interval(tree.leaf_count());
-  Rng rng(99);
-  for (std::uint64_t s = 1; s <= 3; ++s) {
-    for (std::uint64_t i = 0; i < truth[s]; ++i) {
-      const std::size_t leaf = rng.next_below(tree.leaf_count());
-      interval[leaf].push_back(Item{SubStreamId{s}, 1.0, 0});
-    }
-  }
-  for (int rep = 0; rep < 5; ++rep) tree.push_interval(interval);
-  tree.drain();
-  tree.stop();
-
-  const auto& theta = tree.theta();
-  for (std::uint64_t s = 1; s <= 3; ++s) {
-    ASSERT_GT(theta.sampled_count(SubStreamId{s}), 0u);
-    const double expected = 5.0 * static_cast<double>(truth[s]);
-    EXPECT_NEAR(theta.estimated_original_count(SubStreamId{s}), expected,
-                expected * 1e-9)
-        << "stream " << s;
-  }
-}
-
 TEST(EventsTreeChaosTest, WakeStormsAndConcurrentControlChangeNothing) {
   // Chaos: random node wake ordering. A background thread storms
   // spurious wakes into every task (kick()), another hammers run_query

@@ -41,11 +41,13 @@ TEST(FlowQueueBridgeTest, TopicToTreeToTopicRoundTrip) {
 
   // Three intervals of wire-encoded bundles, 1 s apart.
   flowqueue::Producer producer(broker);
+  std::uint64_t bytes_sent = 0;
   for (std::int64_t k = 0; k < 3; ++k) {
     const SimTime ts = SimTime::from_seconds(static_cast<double>(k));
     for (std::uint64_t stream = 1; stream <= 2; ++stream) {
       auto payload =
           core::encode_bundle(bundle_of(stream, 10 * stream, ts.us));
+      bytes_sent += payload.size();
       // Built in two steps: GCC 12's -Wrestrict false-fires on the
       // one-expression char*/to_string concatenation when inlined here.
       std::string key = "s";
@@ -82,10 +84,12 @@ TEST(FlowQueueBridgeTest, TopicToTreeToTopicRoundTrip) {
   ASSERT_TRUE(records.is_ok());
   EXPECT_GT(records.value().size(), 0u);
   std::size_t republished_items = 0;
+  std::uint64_t republished_bytes = 0;
   for (const auto& record : records.value()) {
     auto decoded = core::decode_bundle(record.value);
     ASSERT_TRUE(decoded.is_ok());
     republished_items += decoded.value().items.size();
+    republished_bytes += record.value.size();
   }
   EXPECT_EQ(republished_items, 90u);
   EXPECT_EQ(sink.bundles_published(), records.value().size());
@@ -93,8 +97,13 @@ TEST(FlowQueueBridgeTest, TopicToTreeToTopicRoundTrip) {
 #ifndef APPROXIOT_NO_STATS
   const auto snap = registry.snapshot();
   EXPECT_EQ(snap.counters.at("bridge/records_bridged"), 6u);
+  EXPECT_EQ(snap.counters.at("bridge/bytes_bridged"), bytes_sent);
   EXPECT_EQ(snap.counters.at("bridge/bundles_published"),
             sink.bundles_published());
+  EXPECT_EQ(snap.counters.at("bridge/bytes_published"), republished_bytes);
+#else
+  (void)bytes_sent;
+  (void)republished_bytes;
 #endif
 }
 

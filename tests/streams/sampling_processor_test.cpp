@@ -139,112 +139,6 @@ TEST_F(SamplingProcessorTest, TwoLayerChainComposesWeights) {
   EXPECT_NEAR(theta.estimated_original_count(SubStreamId{1}), 400.0, 1e-9);
 }
 
-// The processor opts into parallel punctuation-time sampling by carrying
-// a pooled executor in its NodeConfig; the driver needs no changes. The
-// Eq. 8 invariant must survive the trip through the topology.
-TEST_F(SamplingProcessorTest, PooledExecutorShardsPunctuationSampling) {
-  auto executor = [] {
-    core::PooledSamplingExecutor::Options options;
-    options.workers_per_lane = 4;
-    options.pool_threads = 2;       // force the cross-thread path
-    options.min_items_to_dispatch = 0;
-    return std::make_shared<core::PooledSamplingExecutor>(options);
-  }();
-
-  SamplingProcessor* processor_view = nullptr;
-  TopologyBuilder builder;
-  builder.add_source("src", "raw")
-      .add_processor("samp",
-                     [&]() {
-                       core::NodeConfig config = fixed_node(40);
-                       config.executor = executor;
-                       auto processor =
-                           std::make_unique<SamplingProcessor>(config);
-                       processor_view = processor.get();
-                       return processor;
-                     },
-                     {"src"})
-      .add_sink("out", "sampled", {"samp"});
-  auto topo = builder.build();
-  ASSERT_TRUE(topo.is_ok());
-
-  TopologyDriver driver(broker_, std::move(topo).value(), "test");
-  ASSERT_TRUE(driver.start().is_ok());
-  ASSERT_NE(processor_view, nullptr);
-  EXPECT_EQ(processor_view->sampling_workers(), 4u);
-
-  // Two sub-streams of known size; equal allocation gives 20 slots each,
-  // sharded 4 ways inside the executor.
-  core::ItemBundle bundle;
-  bundle.items = n_items(SubStreamId{1}, 500, 1.0);
-  auto more = n_items(SubStreamId{2}, 60, 3.0);
-  bundle.items.insert(bundle.items.end(), more.begin(), more.end());
-  publish_bundle(bundle, SimTime::from_millis(100));
-  ASSERT_TRUE(driver.run_until_idle().is_ok());
-  ASSERT_TRUE(driver.stop().is_ok());
-
-  core::ThetaStore theta = drain_sampled_topic();
-  // Eq. 8 reconstructs both originals exactly despite 4-way sharding.
-  EXPECT_NEAR(theta.estimated_original_count(SubStreamId{1}), 500.0, 1e-9);
-  EXPECT_NEAR(theta.estimated_original_count(SubStreamId{2}), 60.0, 1e-9);
-}
-
-// A 1-worker executor is the sequential path: the forwarded samples are
-// bit-identical to a processor constructed without any executor handle.
-TEST_F(SamplingProcessorTest, OneWorkerExecutorMatchesDefaultBitForBit) {
-  auto run = [&](std::shared_ptr<core::SamplingExecutor> executor) {
-    flowqueue::Broker broker;
-    EXPECT_TRUE(broker.create_topic("raw", 1).is_ok());
-    EXPECT_TRUE(broker.create_topic("sampled", 1).is_ok());
-    TopologyBuilder builder;
-    builder.add_source("src", "raw")
-        .add_processor("samp",
-                       [&]() {
-                         core::NodeConfig config = fixed_node(16);
-                         config.rng_seed = 321;
-                         config.executor = std::move(executor);
-                         return std::make_unique<SamplingProcessor>(config);
-                       },
-                       {"src"})
-        .add_sink("out", "sampled", {"samp"});
-    auto topo = builder.build();
-    EXPECT_TRUE(topo.is_ok());
-    TopologyDriver driver(broker, std::move(topo).value(), "test");
-    EXPECT_TRUE(driver.start().is_ok());
-
-    core::ItemBundle bundle;
-    Rng rng(9);
-    for (int i = 0; i < 300; ++i) {
-      bundle.items.push_back(
-          Item{SubStreamId{1 + rng.next_below(3)}, rng.next_double(), 0});
-    }
-    flowqueue::Producer producer(broker);
-    EXPECT_TRUE(producer
-                    .send("raw", "src", core::encode_bundle(bundle),
-                          SimTime::from_millis(50))
-                    .is_ok());
-    EXPECT_TRUE(driver.run_until_idle().is_ok());
-    EXPECT_TRUE(driver.stop().is_ok());
-
-    std::vector<flowqueue::Record> records;
-    auto topic = broker.topic("sampled");
-    EXPECT_TRUE(topic.is_ok());
-    topic.value()->partition(0).read(0, 100000, records);
-    return records;
-  };
-
-  core::PooledSamplingExecutor::Options options;
-  options.workers_per_lane = 1;
-  const auto with_executor =
-      run(std::make_shared<core::PooledSamplingExecutor>(options));
-  const auto without = run(nullptr);
-
-  ASSERT_EQ(with_executor.size(), without.size());
-  for (std::size_t i = 0; i < without.size(); ++i) {
-    EXPECT_EQ(with_executor[i].value, without[i].value) << "record " << i;
-  }
-}
-
 // Live policy (§IV-B) applied at punctuation time: a publish between
 // punctuations changes the fraction used for the NEXT flush, the
 // forwarded wire records carry the epoch that sampled them, and Eq. 8
