@@ -1,37 +1,26 @@
 // Kafka-style pipeline: the paper's Fig. 4 architecture end to end —
-// sources publish to a flowqueue topic, an edge-layer topology driver
-// runs the sampling processor and forwards to the next topic, a
-// datacenter driver samples again, and the root Θ answers the query with
-// error bounds. This is the deployment shape of the original prototype
-// (Kafka + Kafka Streams), reproduced on the in-process substrates.
+// sources publish to a flowqueue topic, a FlowQueueSource feeds it into a
+// two-layer ConcurrentEdgeTree (edge nodes, then datacenter nodes, each
+// running the sampling module), a FlowQueueSink republishes the root's
+// sample to a result topic, and the root Θ rebuilt from that topic
+// answers the query with error bounds. This is the deployment shape of
+// the original prototype (Kafka + Kafka Streams), reproduced on the
+// in-process substrates.
 //
-// Run: ./build/examples/kafka_style_pipeline [seconds=3]
+// Run: ./build/examples/example_kafka_style_pipeline [seconds=3]
 #include <cstdio>
-#include <memory>
 
 #include "common/config.hpp"
 #include "core/error.hpp"
 #include "core/wire.hpp"
 #include "flowqueue/broker.hpp"
 #include "flowqueue/producer.hpp"
-#include "streams/driver.hpp"
-#include "streams/sampling_processor.hpp"
+#include "runtime/concurrent_tree.hpp"
+#include "runtime/flowqueue_bridge.hpp"
 #include "workload/generators.hpp"
 #include "workload/ground_truth.hpp"
 
 using namespace approxiot;
-
-namespace {
-
-core::NodeConfig fraction_node(double fraction) {
-  core::NodeConfig config;
-  config.cost_function = "fraction";
-  config.budget.sampling_fraction = fraction;
-  config.interval = SimTime::from_seconds(1.0);
-  return config;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   auto config = Config::from_args({argv + 1, argv + argc});
@@ -44,48 +33,29 @@ int main(int argc, char** argv) {
       static_cast<int>(config.value().get_int_or("seconds", 3));
 
   flowqueue::Broker broker;
-  for (const char* topic : {"sources", "layer1", "root"}) {
-    if (Status s = broker.create_topic(topic, 1); !s.is_ok()) {
-      std::fprintf(stderr, "create_topic: %s\n", s.to_string().c_str());
-      return 1;
-    }
-  }
-
-  // Edge layer: 35% per-layer fraction.
-  streams::TopologyBuilder edge_builder;
-  edge_builder.add_source("in", "sources")
-      .add_processor("edge-sampler",
-                     []() {
-                       return std::make_unique<streams::SamplingProcessor>(
-                           fraction_node(0.35));
-                     },
-                     {"in"})
-      .add_sink("out", "layer1", {"edge-sampler"});
-  auto edge_topo = edge_builder.build();
-  if (!edge_topo) {
-    std::fprintf(stderr, "%s\n", edge_topo.status().to_string().c_str());
+  if (Status s = broker.create_topic("sources", 1); !s.is_ok()) {
+    std::fprintf(stderr, "create_topic: %s\n", s.to_string().c_str());
     return 1;
   }
 
-  // Datacenter layer: samples again before the query.
-  streams::TopologyBuilder dc_builder;
-  dc_builder.add_source("in", "layer1")
-      .add_processor("dc-sampler",
-                     []() {
-                       return std::make_unique<streams::SamplingProcessor>(
-                           fraction_node(0.35));
-                     },
-                     {"in"})
-      .add_sink("out", "root", {"dc-sampler"});
-  auto dc_topo = dc_builder.build();
-  if (!dc_topo) {
-    std::fprintf(stderr, "%s\n", dc_topo.status().to_string().c_str());
+  // 4 edge nodes -> 2 datacenter nodes -> root; 35% per sampling layer
+  // (edge, datacenter, root), ~4.3% end to end.
+  runtime::FlowQueueSink sink(broker, "root");
+  runtime::ConcurrentTreeConfig tree_config;
+  tree_config.tree.layer_widths = {4, 2};
+  tree_config.tree.sampling_fraction = 0.35 * 0.35 * 0.35;
+  tree_config.tree.rng_seed = 55;
+  tree_config.root_tap = sink.as_root_tap();
+  runtime::ConcurrentEdgeTree tree(tree_config);
+
+  runtime::FlowQueueSourceConfig source_config;
+  source_config.topic = "sources";
+  source_config.interval = tree_config.tree.interval;
+  runtime::FlowQueueSource source(broker, tree, source_config);
+  if (Status s = source.start(); !s.is_ok()) {
+    std::fprintf(stderr, "source: %s\n", s.to_string().c_str());
     return 1;
   }
-
-  streams::TopologyDriver edge(broker, std::move(edge_topo).value(), "edge");
-  streams::TopologyDriver dc(broker, std::move(dc_topo).value(), "dc");
-  if (!edge.start().is_ok() || !dc.start().is_ok()) return 1;
 
   // Publish the Gaussian microbenchmark mix, 10 ticks per second.
   workload::StreamGenerator gen(workload::gaussian_quad(5000.0), 55);
@@ -100,14 +70,13 @@ int main(int argc, char** argv) {
     (void)producer.send("sources", "gen", core::encode_bundle(bundle), now);
     now = now + SimTime::from_millis(100);
 
-    // Pump both layers after each tick, like the poll loops of the
-    // original prototype's stream tasks.
-    (void)edge.run_until_idle();
-    (void)dc.run_until_idle();
+    // Pump the source after each tick, like the poll loop of the
+    // original prototype's stream task.
+    (void)source.run_until_idle();
   }
-  (void)edge.stop();          // flushes the edge's open interval to layer1
-  (void)dc.run_until_idle();  // drain that flush before closing the dc
-  (void)dc.stop();
+  source.flush();  // releases the trailing interval
+  tree.drain();
+  tree.stop();
 
   // Drain the root topic into Θ and answer the query.
   core::ThetaStore theta;

@@ -1,5 +1,5 @@
 // Strong identifier and basic value types shared across all ApproxIoT
-// modules. Every subsystem (flowqueue, streams, netsim, core) refers to
+// modules. Every subsystem (flowqueue, runtime, netsim, core) refers to
 // sub-streams, nodes and intervals through these types so that ids from
 // different domains cannot be mixed up accidentally.
 #pragma once

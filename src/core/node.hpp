@@ -9,8 +9,8 @@
 // RootNode: same sampling step, but accumulates the pairs into Θ and, when
 // the window closes, runs the query with error estimation.
 //
-// Both are transport-agnostic: callers (the in-memory pipeline, the
-// streams engine, or netsim) hand bundles in and receive bundles out.
+// Both are transport-agnostic: callers (the sequential EdgeTree, the
+// concurrent runtime, or netsim) hand bundles in and receive bundles out.
 #pragma once
 
 #include <cstdint>

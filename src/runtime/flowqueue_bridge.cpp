@@ -1,7 +1,9 @@
 #include "runtime/flowqueue_bridge.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <iterator>
+#include <string>
 #include <utility>
 
 #include "core/wire.hpp"
@@ -10,13 +12,27 @@
 
 namespace approxiot::runtime {
 
+namespace {
+
+/// A member name unique to this source instance. Broker::join_group keys
+/// members by name, so two sources sharing one group name would
+/// otherwise join as the same member and each consume every partition.
+std::string unique_member_name(const std::string& group) {
+  static std::atomic<std::uint64_t> instance_counter{0};
+  return group + "-consumer#" +
+         std::to_string(
+             instance_counter.fetch_add(1, std::memory_order_relaxed));
+}
+
+}  // namespace
+
 FlowQueueSource::FlowQueueSource(flowqueue::Broker& broker,
                                  ConcurrentEdgeTree& tree,
                                  FlowQueueSourceConfig config,
                                  [[maybe_unused]] obs::StatsRegistry* stats)
     : tree_(&tree),
       config_(std::move(config)),
-      consumer_(broker, config_.group + "-consumer"),
+      consumer_(broker, unique_member_name(config_.group)),
       clock_(config_.interval) {
   AIOT_OBS(if (stats != nullptr) {
     records_bridged_stat_ = &stats->counter("bridge/records_bridged");
@@ -26,6 +42,7 @@ FlowQueueSource::FlowQueueSource(flowqueue::Broker& broker,
     watermark_flushes_stat_ = &stats->counter("bridge/watermark_flushes");
     gap_intervals_skipped_stat_ =
         &stats->counter("bridge/gap_intervals_skipped");
+    consumer_.bind_stats(*stats, "bridge/source/" + config_.topic);
   });
 }
 
@@ -48,7 +65,10 @@ Result<std::size_t> FlowQueueSource::run_until_idle(std::size_t max_cycles) {
 
     for (const flowqueue::Record& record : batch.value()) {
       auto bundle = core::decode_bundle(record.value);
-      if (!bundle.is_ok()) {
+      // A bundle carrying W^in is an already-weighted sample (e.g. a
+      // FlowQueueSink's output fed back in). Its items would enter the
+      // leaves as raw weight-1 data and bias SUM/COUNT, so it is refused.
+      if (!bundle.is_ok() || !bundle.value().w_in.empty()) {
         ++decode_errors_;
         AIOT_OBS(if (decode_errors_stat_ != nullptr) {
           decode_errors_stat_->increment();

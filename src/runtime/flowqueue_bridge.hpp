@@ -5,15 +5,25 @@
 //   them into intervals by record timestamp, and feeds them to a
 //   ConcurrentEdgeTree as if they came from local sensors. Items are
 //   sharded over the leaves by sub-stream id, the same sharding the
-//   sequential drivers use.
+//   sequential drivers use. Each source joins its consumer group as its
+//   own member, so several sources (each feeding its own tree) in one
+//   group split the topic's partitions between them.
 //
 //   FlowQueueSink — publishes the root's sampled output bundles back into
 //   a topic (hook it up via ConcurrentTreeConfig::root_tap), closing the
 //   loop for downstream analytics consumers.
 //
+// Together they are the paper's Kafka deployment (§IV-B, Fig. 4): topic
+// -> source -> tree (the sampling module at every node) -> sink -> root
+// answer. One tree is the whole pipeline; layers do not hop over
+// intermediate topics.
+//
 // Both count into an optional obs::StatsRegistry under "bridge/..."
 // (records bridged, bytes, decode errors, bundles published), resolving
-// the counters once at construction.
+// the counters once at construction. The source also exports its
+// consumer's watermarks under "bridge/source/{topic}/..." (lag,
+// watermark age, caught_up, assigned partitions, records polled; see
+// flowqueue::Consumer::bind_stats), refreshed on every poll.
 #pragma once
 
 #include <cstdint>
@@ -78,6 +88,10 @@ class FlowQueueSource {
   [[nodiscard]] std::uint64_t records_bridged() const noexcept {
     return records_bridged_;
   }
+  /// Records refused: payloads that do not decode, and bundles that
+  /// carry a W^in (an already-weighted sample, e.g. a FlowQueueSink's
+  /// output). The source feeds raw items only; re-sampling a weighted
+  /// sample as weight-1 data would bias every estimate.
   [[nodiscard]] std::uint64_t decode_errors() const noexcept {
     return decode_errors_;
   }

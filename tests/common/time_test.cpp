@@ -43,8 +43,8 @@ TEST(FloorDivTest, RoundsTowardsNegativeInfinity) {
   EXPECT_EQ(floor_div(-6, 5), -2);
 }
 
-// Regression (shared with TumblingWindows): truncating division folded
-// timestamps in (-length, 0) into interval 0.
+// Regression (FlowQueueSource buckets records with this clock): truncating
+// division folded timestamps in (-length, 0) into interval 0.
 TEST(IntervalClockTest, NegativeTimesMapToNegativeIntervals) {
   IntervalClock clock(SimTime::from_seconds(1.0));
   EXPECT_EQ(clock.interval_of(SimTime::from_millis(-1)).seq, -1);

@@ -1,85 +1,58 @@
-// Full-stack integration: workload generator -> flowqueue topics ->
-// streams drivers running sampling processors per layer -> root Θ ->
-// approximate query with error bounds, checked against exact ground
-// truth. This is the architecture of the paper's Fig. 4 wired end to end
-// inside one process.
+// Full-stack integration: workload generator -> flowqueue topic ->
+// FlowQueueSource -> two-layer ConcurrentEdgeTree (the sampling module at
+// every node) -> root Θ and FlowQueueSink -> approximate query with error
+// bounds, checked against exact ground truth and against the sequential
+// EdgeTree. This is the architecture of the paper's Fig. 4 wired end to
+// end inside one process.
 #include <gtest/gtest.h>
 
-#include <memory>
+#include <vector>
 
 #include "analytics/executor.hpp"
 #include "core/error.hpp"
-#include "core/estimators.hpp"
+#include "core/pipeline.hpp"
 #include "core/wire.hpp"
 #include "flowqueue/broker.hpp"
 #include "flowqueue/producer.hpp"
-#include "streams/driver.hpp"
-#include "streams/sampling_processor.hpp"
+#include "runtime/concurrent_tree.hpp"
+#include "runtime/flowqueue_bridge.hpp"
 #include "workload/generators.hpp"
 #include "workload/ground_truth.hpp"
 
 namespace approxiot {
 namespace {
 
-core::NodeConfig fixed_node(std::size_t sample_size) {
-  core::NodeConfig config;
-  config.cost_function = "fixed";
-  config.budget.fixed_sample_size = sample_size;
-  config.interval = SimTime::from_seconds(1.0);
-  return config;
-}
+TEST(EndToEndTest, TwoLayerKafkaStylePipeline) {
+  flowqueue::Broker broker;
+  ASSERT_TRUE(broker.create_topic("sources", 1).is_ok());
 
-class EndToEndTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    ASSERT_TRUE(broker_.create_topic("sources", 1).is_ok());
-    ASSERT_TRUE(broker_.create_topic("layer1", 1).is_ok());
-    ASSERT_TRUE(broker_.create_topic("root", 1).is_ok());
-  }
+  // 4 edge nodes -> 2 datacenter nodes -> root, WHS at every node, one
+  // tree interval per 100 ms generator tick.
+  core::EdgeTreeConfig tree_config;
+  tree_config.layer_widths = {4, 2};
+  tree_config.engine = core::EngineKind::kApproxIoT;
+  tree_config.sampling_fraction = 0.1;
+  tree_config.interval = SimTime::from_millis(100);
+  tree_config.rng_seed = 13;
 
-  flowqueue::Broker broker_;
-};
+  runtime::FlowQueueSink sink(broker, "root");
+  runtime::ConcurrentTreeConfig runtime_config;
+  runtime_config.tree = tree_config;
+  runtime_config.root_tap = sink.as_root_tap();
+  runtime::ConcurrentEdgeTree tree(runtime_config);
 
-TEST_F(EndToEndTest, TwoLayerKafkaStylePipeline) {
-  // Layer 1: edge sampling node, reservoir 200 per pair.
-  streams::TopologyBuilder l1;
-  l1.add_source("in", "sources")
-      .add_processor("edge",
-                     []() {
-                       return std::make_unique<streams::SamplingProcessor>(
-                           fixed_node(200));
-                     },
-                     {"in"})
-      .add_sink("out", "layer1", {"edge"});
-  auto topo1 = l1.build();
-  ASSERT_TRUE(topo1.is_ok());
-
-  // Layer 2 (datacenter): reservoir 50 per pair.
-  streams::TopologyBuilder l2;
-  l2.add_source("in", "layer1")
-      .add_processor("dc",
-                     []() {
-                       return std::make_unique<streams::SamplingProcessor>(
-                           fixed_node(50));
-                     },
-                     {"in"})
-      .add_sink("out", "root", {"dc"});
-  auto topo2 = l2.build();
-  ASSERT_TRUE(topo2.is_ok());
-
-  streams::TopologyDriver edge(broker_, std::move(topo1).value(), "edge");
-  streams::TopologyDriver dc(broker_, std::move(topo2).value(), "dc");
-  ASSERT_TRUE(edge.start().is_ok());
-  ASSERT_TRUE(dc.start().is_ok());
-
-  // Publish four Gaussian sub-streams (the paper's microbenchmark mix).
+  // Publish four Gaussian sub-streams (the paper's microbenchmark mix);
+  // the sequential oracle gets the same ticks, sharded the way the
+  // bridge shards them.
+  core::EdgeTree oracle(tree_config);
   workload::StreamGenerator gen(workload::gaussian_quad(2000.0), 13);
   workload::GroundTruth truth;
-  flowqueue::Producer producer(broker_);
+  flowqueue::Producer producer(broker);
   SimTime now = SimTime::from_millis(1);
   for (int tick = 0; tick < 10; ++tick) {
     auto items = gen.tick(now, SimTime::from_millis(100));
     truth.add_all(items);
+    oracle.tick(workload::shard_by_substream(items, oracle.leaf_count()));
     core::ItemBundle bundle;
     bundle.items = std::move(items);
     ASSERT_TRUE(
@@ -88,30 +61,29 @@ TEST_F(EndToEndTest, TwoLayerKafkaStylePipeline) {
     now = now + SimTime::from_millis(100);
   }
 
-  ASSERT_TRUE(edge.run_until_idle().is_ok());
-  ASSERT_TRUE(edge.stop().is_ok());
-  ASSERT_TRUE(dc.run_until_idle().is_ok());
-  ASSERT_TRUE(dc.stop().is_ok());
+  runtime::FlowQueueSourceConfig source_config;
+  source_config.topic = "sources";
+  source_config.interval = tree_config.interval;
+  runtime::FlowQueueSource source(broker, tree, source_config);
+  ASSERT_TRUE(source.start().is_ok());
+  auto pushed = source.run_until_idle();
+  ASSERT_TRUE(pushed.is_ok());
+  EXPECT_EQ(pushed.value() + source.flush(), 10u);
+  EXPECT_EQ(source.decode_errors(), 0u);
+  EXPECT_EQ(source.late_records(), 0u);
+  tree.drain();
 
-  // Drain the root topic into Θ.
-  core::ThetaStore theta;
-  std::vector<flowqueue::Record> records;
-  auto root_topic = broker_.topic("root");
-  ASSERT_TRUE(root_topic.is_ok());
-  root_topic.value()->partition(0).read(0, 1000000, records);
-  ASSERT_FALSE(records.empty());
-  for (const auto& record : records) {
-    auto bundle = core::decode_bundle(record.value);
-    ASSERT_TRUE(bundle.is_ok());
-    core::SampledBundle sampled;
-    sampled.w_out = bundle.value().w_in;
-    for (const Item& item : bundle.value().items) {
-      sampled.sample[item.source].push_back(item);
-    }
-    theta.add(sampled);
-  }
+  // 0. The topic-fed concurrent tree is bit-identical to the sequential
+  //    EdgeTree fed the same ticks.
+  const core::ApproxResult result = tree.run_query();
+  const core::ApproxResult expected = oracle.run_query();
+  EXPECT_EQ(result.sum.point, expected.sum.point);
+  EXPECT_EQ(result.sum.margin, expected.sum.margin);
+  EXPECT_EQ(result.sampled_items, expected.sampled_items);
 
   // 1. Count invariant: exact reconstruction of per-stream counts.
+  const core::ThetaStore& theta = tree.theta();
+  ASSERT_FALSE(theta.sub_streams().empty());
   for (SubStreamId id : theta.sub_streams()) {
     EXPECT_NEAR(theta.estimated_original_count(id),
                 static_cast<double>(truth.count(id)),
@@ -124,7 +96,6 @@ TEST_F(EndToEndTest, TwoLayerKafkaStylePipeline) {
 
   // 3. SUM estimate lands within a few percent of the exact answer on
   //    this well-behaved mix, and the error bound is honest about it.
-  const core::ApproxResult result = core::approximate_query(theta);
   const double exact = truth.total_sum();
   EXPECT_NEAR(result.sum.point / exact, 1.0, 0.10);
   EXPECT_GT(result.sum.margin, 0.0);
@@ -134,35 +105,45 @@ TEST_F(EndToEndTest, TwoLayerKafkaStylePipeline) {
   query.aggregate = analytics::Aggregate::kSum;
   EXPECT_DOUBLE_EQ(analytics::execute_approximate(query, theta).value.point,
                    result.sum.point);
+  tree.stop();
+
+  // 5. The sink republished exactly the root's sample.
+  std::vector<flowqueue::Record> records;
+  auto root_topic = broker.topic("root");
+  ASSERT_TRUE(root_topic.is_ok());
+  root_topic.value()->partition(0).read(0, 1000000, records);
+  std::uint64_t republished = 0;
+  for (const auto& record : records) {
+    auto bundle = core::decode_bundle(record.value);
+    ASSERT_TRUE(bundle.is_ok());
+    republished += bundle.value().items.size();
+  }
+  EXPECT_EQ(republished, result.sampled_items);
 }
 
-TEST_F(EndToEndTest, ConsumerGroupSplitsLayerWork) {
-  // Two edge drivers in one consumer group share the source topic's
-  // partitions; together they must process everything exactly once.
-  ASSERT_TRUE(broker_.create_topic("wide", 2).is_ok());
+TEST(EndToEndTest, ConsumerGroupSplitsLayerWork) {
+  // Two sources in one consumer group, each feeding its own tree, share
+  // the topic's partitions; together they must deliver everything
+  // exactly once.
+  flowqueue::Broker broker;
+  ASSERT_TRUE(broker.create_topic("wide", 2).is_ok());
 
-  auto build = []() {
-    streams::TopologyBuilder builder;
-    builder.add_source("in", "wide")
-        .add_processor("edge",
-                       []() {
-                         return std::make_unique<streams::SamplingProcessor>(
-                             fixed_node(1000000));  // keep everything
-                       },
-                       {"in"})
-        .add_sink("out", "layer1", {"edge"});
-    auto topo = builder.build();
-    EXPECT_TRUE(topo.is_ok());
-    return std::move(topo).value();
-  };
+  runtime::ConcurrentTreeConfig tree_config;
+  tree_config.tree.layer_widths = {2};
+  tree_config.tree.engine = core::EngineKind::kNative;  // keep everything
+  runtime::ConcurrentEdgeTree tree_a(tree_config);
+  runtime::ConcurrentEdgeTree tree_b(tree_config);
 
-  streams::TopologyDriver worker_a(broker_, build(), "edge-group");
-  streams::TopologyDriver worker_b(broker_, build(), "edge-group");
+  runtime::FlowQueueSourceConfig source_config;
+  source_config.topic = "wide";
+  source_config.group = "edge-group";
+  runtime::FlowQueueSource worker_a(broker, tree_a, source_config);
+  runtime::FlowQueueSource worker_b(broker, tree_b, source_config);
   ASSERT_TRUE(worker_a.start().is_ok());
   ASSERT_TRUE(worker_b.start().is_ok());
 
-  flowqueue::Producer producer(broker_);
-  std::size_t total_items = 0;
+  flowqueue::Producer producer(broker);
+  std::uint64_t total_items = 0;
   for (int i = 0; i < 20; ++i) {
     core::ItemBundle bundle;
     for (int k = 0; k < 10; ++k) {
@@ -177,22 +158,19 @@ TEST_F(EndToEndTest, ConsumerGroupSplitsLayerWork) {
                     .is_ok());
   }
 
-  ASSERT_TRUE(worker_a.run_until_idle().is_ok());
-  ASSERT_TRUE(worker_b.run_until_idle().is_ok());
-  ASSERT_TRUE(worker_a.stop().is_ok());
-  ASSERT_TRUE(worker_b.stop().is_ok());
-
-  std::vector<flowqueue::Record> out;
-  auto layer1 = broker_.topic("layer1");
-  ASSERT_TRUE(layer1.is_ok());
-  layer1.value()->partition(0).read(0, 1000000, out);
-  std::size_t forwarded = 0;
-  for (const auto& record : out) {
-    auto bundle = core::decode_bundle(record.value);
-    ASSERT_TRUE(bundle.is_ok());
-    forwarded += bundle.value().items.size();
+  for (auto* worker : {&worker_a, &worker_b}) {
+    ASSERT_TRUE(worker->run_until_idle().is_ok());
+    worker->flush();
   }
-  EXPECT_EQ(forwarded, total_items);
+  tree_a.drain();
+  tree_b.drain();
+  tree_a.stop();
+  tree_b.stop();
+
+  EXPECT_EQ(worker_a.records_bridged(), 10u);
+  EXPECT_EQ(worker_b.records_bridged(), 10u);
+  EXPECT_EQ(tree_a.metrics().items_at_root + tree_b.metrics().items_at_root,
+            total_items);
 }
 
 }  // namespace

@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include <limits>
-#include <memory>
 
 #include "common/rng.hpp"
 #include "core/adaptive.hpp"
@@ -19,8 +18,6 @@
 #include "flowqueue/broker.hpp"
 #include "flowqueue/consumer.hpp"
 #include "flowqueue/producer.hpp"
-#include "streams/driver.hpp"
-#include "streams/sampling_processor.hpp"
 
 namespace approxiot {
 namespace {
@@ -114,23 +111,15 @@ TEST(FailureTest, SingleItemSubStreamHasZeroVarianceNotNan) {
 TEST(FailureTest, CorruptedRecordsDoNotPoisonThePipeline) {
   flowqueue::Broker broker;
   ASSERT_TRUE(broker.create_topic("in", 1).is_ok());
-  ASSERT_TRUE(broker.create_topic("out", 1).is_ok());
 
-  streams::TopologyBuilder builder;
-  builder.add_source("src", "in")
-      .add_processor("samp",
-                     []() {
-                       core::NodeConfig c;
-                       c.cost_function = "fixed";
-                       c.budget.fixed_sample_size = 100;
-                       return std::make_unique<streams::SamplingProcessor>(c);
-                     },
-                     {"src"})
-      .add_sink("sink", "out", {"samp"});
-  auto topo = builder.build();
-  ASSERT_TRUE(topo.is_ok());
-  streams::TopologyDriver driver(broker, std::move(topo).value(), "app");
-  ASSERT_TRUE(driver.start().is_ok());
+  runtime::ConcurrentTreeConfig tree_config;
+  tree_config.tree.layer_widths = {2};
+  tree_config.tree.engine = core::EngineKind::kNative;
+  runtime::ConcurrentEdgeTree tree(tree_config);
+  runtime::FlowQueueSourceConfig source_config;
+  source_config.topic = "in";
+  runtime::FlowQueueSource source(broker, tree, source_config);
+  ASSERT_TRUE(source.start().is_ok());
 
   flowqueue::Producer producer(broker);
   // Interleave garbage with one valid bundle.
@@ -141,17 +130,16 @@ TEST(FailureTest, CorruptedRecordsDoNotPoisonThePipeline) {
       producer.send("in", "good", core::encode_bundle(good)).is_ok());
   ASSERT_TRUE(producer.send("in", "junk2", {}).is_ok());
 
-  ASSERT_TRUE(driver.run_until_idle().is_ok());
-  ASSERT_TRUE(driver.stop().is_ok());
+  ASSERT_TRUE(source.run_until_idle().is_ok());
+  source.flush();
+  tree.drain();
+  tree.stop();
 
-  std::vector<flowqueue::Record> out;
-  auto topic = broker.topic("out");
-  ASSERT_TRUE(topic.is_ok());
-  topic.value()->partition(0).read(0, 1000, out);
-  ASSERT_EQ(out.size(), 1u);  // only the good bundle made it
-  auto decoded = core::decode_bundle(out[0].value);
-  ASSERT_TRUE(decoded.is_ok());
-  EXPECT_EQ(decoded.value().items.size(), 10u);
+  // Only the good bundle made it, and both junk records are counted.
+  EXPECT_EQ(source.decode_errors(), 2u);
+  EXPECT_EQ(source.records_bridged(), 1u);
+  EXPECT_EQ(tree.metrics().items_at_root, 10u);
+  EXPECT_EQ(tree.theta().sampled_count(SubStreamId{1}), 10u);
 }
 
 TEST(FailureTest, ConsumerChurnPreservesDelivery) {

@@ -1,22 +1,22 @@
 // End-to-end observability across every runtime: a 64-node
-// ConcurrentEdgeTree (plus a flowqueue-fed streams driver sharing the
-// registry) must produce a chrome://tracing-loadable trace whose spans
-// carry policy-epoch annotations, and one Prometheus snapshot covering
-// tree, flowqueue, and streams metrics. Instrumentation must
-// never perturb sampling: stats-on and stats-off runs are bit-identical.
+// ConcurrentEdgeTree (plus a flowqueue bridge sharing the registry) must
+// produce a chrome://tracing-loadable trace whose spans carry
+// policy-epoch annotations, and one Prometheus snapshot covering tree,
+// bridge and flowqueue metrics. Instrumentation must never perturb
+// sampling: stats-on and stats-off runs are bit-identical.
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "core/pipeline.hpp"
+#include "core/wire.hpp"
 #include "flowqueue/producer.hpp"
 #include "obs/stats.hpp"
 #include "obs/trace.hpp"
 #include "runtime/concurrent_tree.hpp"
-#include "streams/driver.hpp"
+#include "runtime/flowqueue_bridge.hpp"
 
 namespace approxiot::runtime {
 namespace {
@@ -39,22 +39,6 @@ std::vector<std::vector<std::vector<Item>>> make_workload(std::size_t ticks,
   }
   return workload;
 }
-
-/// Forwards records untouched; schedules a stream-time punctuation.
-class PassThroughProcessor final : public streams::Processor {
- public:
-  void init(streams::ProcessorContext& context) override {
-    context_ = &context;
-    context.schedule(SimTime::from_millis(1));
-  }
-  void process(const flowqueue::Record& record) override {
-    context_->forward(record);
-  }
-  void punctuate(SimTime) override {}
-
- private:
-  streams::ProcessorContext* context_{nullptr};
-};
 
 TEST(ObsRuntimeTraceTest, SixtyFourNodeTraceAndCrossRuntimePrometheus) {
 #ifdef APPROXIOT_NO_STATS
@@ -107,34 +91,43 @@ TEST(ObsRuntimeTraceTest, SixtyFourNodeTraceAndCrossRuntimePrometheus) {
   EXPECT_NE(trace.find("tree/L5/n0"), std::string::npos);
   EXPECT_NE(trace.find("tree/root"), std::string::npos);
 
-  // --- flowqueue + streams on the same registry -----------------------
+  // --- flowqueue bridge on the same registry ---------------------------
+  // The bridge's own tree stays unbound, so the tree/ stats above keep
+  // describing the 64-node run alone.
   flowqueue::Broker broker;
   ASSERT_TRUE(broker.create_topic("in", 1).is_ok());
-  ASSERT_TRUE(broker.create_topic("out", 1).is_ok());
-  streams::TopologyBuilder builder;
-  builder.add_source("src", "in")
-      .add_processor("proc",
-                     [] { return std::make_unique<PassThroughProcessor>(); },
-                     {"src"})
-      .add_sink("sink", "out", {"proc"});
-  auto topo = builder.build();
-  ASSERT_TRUE(topo.is_ok());
-  streams::TopologyDriver driver(broker, std::move(topo).value(), "app");
-  driver.bind_obs(&stats, &tracer);
-  ASSERT_TRUE(driver.start().is_ok());
+  FlowQueueSink sink(broker, "out", &stats);
+  ConcurrentTreeConfig bridge_tree_config;
+  bridge_tree_config.tree.layer_widths = {2};
+  bridge_tree_config.tree.engine = core::EngineKind::kNative;
+  bridge_tree_config.root_tap = sink.as_root_tap();
+  ConcurrentEdgeTree bridge_tree(bridge_tree_config);
+  FlowQueueSourceConfig source_config;
+  source_config.topic = "in";
+  source_config.poll_batch = 2;  // leaves records unread after a poll
+  FlowQueueSource source(broker, bridge_tree, source_config, &stats);
+  ASSERT_TRUE(source.start().is_ok());
 
   flowqueue::Producer producer(broker);
   for (int i = 0; i < 5; ++i) {
+    core::ItemBundle bundle;
+    bundle.items.push_back(Item{SubStreamId{1}, 1.0, i});
     ASSERT_TRUE(producer
-                    .send("in", std::string("k").append(std::to_string(i)), {1},
+                    .send("in", std::string("k").append(std::to_string(i)),
+                          core::encode_bundle(bundle),
                           SimTime::from_millis(i))
                     .is_ok());
   }
-  ASSERT_TRUE(driver.run_until_idle().is_ok());
-  ASSERT_TRUE(driver.stop().is_ok());
+  ASSERT_TRUE(source.run_until_idle(1).is_ok());
+  // One poll of two records: the consumer's watermark shows three unread.
+  EXPECT_DOUBLE_EQ(stats.snapshot().gauges.at("bridge/source/in/lag"), 3.0);
+  ASSERT_TRUE(source.run_until_idle().is_ok());
+  source.flush();
+  bridge_tree.drain();
+  bridge_tree.stop();
   broker.export_stats(stats, "flowqueue");
 
-  // --- one Prometheus snapshot covering all three runtimes -------------
+  // --- one Prometheus snapshot covering tree, bridge and flowqueue ------
   const std::string prom = stats.snapshot().to_prometheus();
   // tree: per-node interval latency + occupancy + policy state
   EXPECT_NE(prom.find("approxiot_tree_root_exec_us"), std::string::npos);
@@ -142,13 +135,14 @@ TEST(ObsRuntimeTraceTest, SixtyFourNodeTraceAndCrossRuntimePrometheus) {
   EXPECT_NE(prom.find("approxiot_tree_L0_n0_in0_depth"), std::string::npos);
   EXPECT_NE(prom.find("approxiot_tree_policy_epoch"), std::string::npos);
   EXPECT_NE(prom.find("approxiot_tree_windows_closed"), std::string::npos);
-  // flowqueue: consumer watermarks + broker topic depth
-  EXPECT_NE(prom.find("approxiot_streams_app_source_src_lag"),
+  // bridge: the source consumer's watermarks + records bridged
+  EXPECT_NE(prom.find("approxiot_bridge_source_in_lag"), std::string::npos);
+  EXPECT_NE(prom.find("approxiot_bridge_records_bridged"),
             std::string::npos);
+  EXPECT_NE(prom.find("approxiot_bridge_bundles_published"),
+            std::string::npos);
+  // flowqueue: broker topic depth
   EXPECT_NE(prom.find("approxiot_flowqueue_topic_in_records"),
-            std::string::npos);
-  // streams: punctuation latency
-  EXPECT_NE(prom.find("approxiot_streams_app_punctuate_us"),
             std::string::npos);
 
   // Policy gauges reflect the mid-run publish.
@@ -156,6 +150,8 @@ TEST(ObsRuntimeTraceTest, SixtyFourNodeTraceAndCrossRuntimePrometheus) {
   EXPECT_DOUBLE_EQ(snap.gauges.at("tree/policy/epoch"), 1.0);
   EXPECT_DOUBLE_EQ(snap.gauges.at("tree/policy/fraction"), 0.2);
   EXPECT_EQ(snap.counters.at("tree/windows_closed"), 1u);
+  EXPECT_EQ(snap.counters.at("bridge/records_bridged"), 5u);
+  EXPECT_DOUBLE_EQ(snap.gauges.at("bridge/source/in/lag"), 0.0);
 }
 
 // The acceptance bar for zero perturbation: the same seeded workload

@@ -212,5 +212,91 @@ TEST(FlowQueueBridgeTest, MalformedPayloadCountsAsDecodeError) {
   tree.stop();
 }
 
+// Interval buckets use floor division, so a pre-origin timestamp lands
+// below interval 0 — a tick that can never fire — and is counted late
+// instead of folding into interval 0.
+TEST(FlowQueueBridgeTest, PreOriginRecordsCountAsLate) {
+  flowqueue::Broker broker;
+  ASSERT_TRUE(broker.create_topic(kInTopic, 1).is_ok());
+
+  ConcurrentTreeConfig tree_config;
+  tree_config.tree.layer_widths = {2};
+  tree_config.tree.engine = core::EngineKind::kNative;
+  ConcurrentEdgeTree tree(tree_config);
+
+  flowqueue::Producer producer(broker);
+  for (const SimTime ts : {SimTime::from_millis(-1), SimTime::zero()}) {
+    ASSERT_TRUE(producer
+                    .send(kInTopic, "k",
+                          core::encode_bundle(bundle_of(1, 5, ts.us)), ts)
+                    .is_ok());
+  }
+
+  FlowQueueSourceConfig source_config;
+  source_config.topic = kInTopic;
+  FlowQueueSource source(broker, tree, source_config);
+  ASSERT_TRUE(source.start().is_ok());
+  ASSERT_TRUE(source.run_until_idle().is_ok());
+  EXPECT_EQ(source.flush(), 1u);
+  tree.drain();
+  tree.stop();
+  EXPECT_EQ(source.late_records(), 1u);
+  EXPECT_EQ(source.records_bridged(), 1u);
+  EXPECT_EQ(tree.metrics().items_at_root, 5u);
+}
+
+// A sink's output is a weighted sample: every bundle carries W^in. Fed
+// back into a source, its items would re-enter the leaves as raw
+// weight-1 data and bias SUM/COUNT, so the source refuses each such
+// bundle and counts it as a decode error.
+TEST(FlowQueueBridgeTest, WeightedBundlesAreRefused) {
+  flowqueue::Broker broker;
+  ASSERT_TRUE(broker.create_topic(kInTopic, 1).is_ok());
+
+  FlowQueueSink sink(broker, kOutTopic);
+  {
+    ConcurrentTreeConfig tree_config;
+    tree_config.tree.layer_widths = {2};
+    tree_config.tree.sampling_fraction = 0.5;
+    tree_config.root_tap = sink.as_root_tap();
+    ConcurrentEdgeTree tree(tree_config);
+    flowqueue::Producer producer(broker);
+    for (std::int64_t k = 0; k < 3; ++k) {
+      const SimTime ts = SimTime::from_seconds(static_cast<double>(k));
+      ASSERT_TRUE(producer
+                      .send(kInTopic, "k",
+                            core::encode_bundle(bundle_of(1, 40, ts.us)), ts)
+                      .is_ok());
+    }
+    FlowQueueSourceConfig source_config;
+    source_config.topic = kInTopic;
+    FlowQueueSource source(broker, tree, source_config);
+    ASSERT_TRUE(source.start().is_ok());
+    ASSERT_TRUE(source.run_until_idle().is_ok());
+    source.flush();
+    tree.stop();
+  }
+  ASSERT_GT(sink.bundles_published(), 0u);
+
+  ConcurrentTreeConfig tree_config;
+  tree_config.tree.layer_widths = {2};
+  tree_config.tree.engine = core::EngineKind::kNative;
+  ConcurrentEdgeTree tree(tree_config);
+  FlowQueueSourceConfig source_config;
+  source_config.topic = kOutTopic;
+  source_config.group = "replay";
+  FlowQueueSource source(broker, tree, source_config);
+  ASSERT_TRUE(source.start().is_ok());
+  ASSERT_TRUE(source.run_until_idle().is_ok());
+  source.flush();
+  tree.drain();
+  tree.stop();
+
+  EXPECT_EQ(source.decode_errors(), sink.bundles_published());
+  EXPECT_EQ(source.records_bridged(), 0u);
+  EXPECT_EQ(tree.metrics().items_ingested, 0u);
+  EXPECT_EQ(tree.metrics().items_at_root, 0u);
+}
+
 }  // namespace
 }  // namespace approxiot::runtime
